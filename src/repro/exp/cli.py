@@ -7,7 +7,7 @@ on-disk result cache::
     python -m repro all --full --jobs 8 --json results.json
     python -m repro fig7 --engine reference   # the unoptimised ground-truth loop
     python -m repro cache list
-    python -m repro bench --jobs 4 --gate BENCH_pr1.json --output BENCH_pr4.json
+    python -m repro bench --jobs 4 --gate BENCH_pr5.json   # writes BENCH.json
     python -m repro profile fig7 --trace-out fig7-trace.json --jobs 4
 
 Every figure command prints the paper-layout text table plus a one-line
@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._version import __version__
-from repro.common import phases
 from repro.common.errors import ReproError
 from repro.common.serialize import to_jsonable
 from repro.exp.cache import ResultCache
@@ -396,13 +395,32 @@ def run_bench_command(args: argparse.Namespace) -> int:
     With ``--gate BASELINE.json`` the command additionally compares the
     fresh artifact against a previously recorded one and exits non-zero when
     the wall-time improvement or the parallel speedup falls below the
-    thresholds (see :func:`evaluate_bench_gate`).
+    thresholds (see :func:`evaluate_bench_gate`).  The baseline is read
+    before the timed runs, and an ``--output`` that resolves to the baseline
+    file is refused (exit 2), so a run can never gate against itself.
     """
     figure_names = args.figures.split(",") if args.figures else list(DEFAULT_BENCH_FIGURES)
     unknown = [name for name in figure_names if name not in FIGURES]
     if unknown:
         print(f"[repro] unknown figures: {', '.join(unknown)}", file=sys.stderr)
         return 2
+    baseline = None
+    if args.gate:
+        # Read the baseline before anything is written: an --output that
+        # resolves to the baseline would otherwise overwrite it and then
+        # compare the run with itself.
+        if Path(args.output).resolve() == Path(args.gate).resolve():
+            print(
+                f"[repro] --output and --gate are the same file ({args.gate}); "
+                "the run would overwrite its own baseline",
+                file=sys.stderr,
+            )
+            return 2
+        try:
+            baseline = json.loads(Path(args.gate).read_text())
+        except (OSError, json.JSONDecodeError) as error:
+            print(f"[repro] cannot read gate baseline {args.gate}: {error}", file=sys.stderr)
+            return 2
     artifact: Dict[str, Any] = {
         "artifact": "repro-bench",
         "created_unix": time.time(),
@@ -437,11 +455,11 @@ def run_bench_command(args: argparse.Namespace) -> int:
                 clear_warm_memo()
             else:
                 effective_workers = runner.effective_workers()
-            phases.reset()
+            obs_spans.reset_phases()
             started = time.perf_counter()
             spec.run(context)
             timings[mode] = time.perf_counter() - started
-            phase_breakdown[mode] = phases.snapshot()
+            phase_breakdown[mode] = obs_spans.phase_totals()
             simulations = runner.executed_jobs
             runner.close()
         speedup = timings["serial"] / timings["parallel"] if timings["parallel"] else 0.0
@@ -461,11 +479,6 @@ def run_bench_command(args: argparse.Namespace) -> int:
     Path(args.output).write_text(json.dumps(artifact, indent=2, sort_keys=True))
     print(f"[repro] wrote {args.output}")
     if args.gate:
-        try:
-            baseline = json.loads(Path(args.gate).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"[repro] cannot read gate baseline {args.gate}: {error}", file=sys.stderr)
-            return 2
         ok, lines = evaluate_bench_gate(
             artifact,
             baseline,
@@ -617,7 +630,6 @@ def run_profile_command(args: argparse.Namespace) -> int:
     spec = FIGURES[args.figure]
     runner = ExperimentRunner(jobs=args.jobs, cache=None)
     context = build_context(args, runner)
-    phases.reset()
     obs_spans.reset()
     obs_spans.start_recording()
     started = time.perf_counter()
@@ -636,7 +648,7 @@ def run_profile_command(args: argparse.Namespace) -> int:
             "jobs": args.jobs,
             "engine": getattr(args, "engine", None) or DEFAULT_ENGINE,
             "repro_version": __version__,
-            "phase_totals": phases.snapshot(),
+            "phase_totals": obs_spans.phase_totals(),
         },
     )
     Path(args.trace_out).write_text(json.dumps(document, indent=2, sort_keys=True))
@@ -1466,7 +1478,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated figures to time (default: {','.join(DEFAULT_BENCH_FIGURES)})",
     )
     sub.add_argument(
-        "--output", default="BENCH_pr5.json", help="artifact path (default: BENCH_pr5.json)"
+        "--output", default="BENCH.json", help="artifact path (default: BENCH.json)"
     )
     sub.add_argument(
         "--gate",

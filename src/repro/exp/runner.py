@@ -31,7 +31,6 @@ from functools import lru_cache
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.common import phases
 from repro.common.errors import ConfigurationError
 from repro.obs import spans as obs_spans
 from repro.common.serialize import stable_hash, to_jsonable
@@ -160,7 +159,7 @@ def _trace_for(workload: WorkloadParameters, num_instructions: int, seed: Option
             _TRACE_MEMO.clear()
         started = perf_counter()
         trace = generate_member_trace(workload, num_instructions, seed=seed)
-        phases.add("generation", perf_counter() - started)
+        obs_spans.add_phase("generation", perf_counter() - started)
         _TRACE_MEMO[memo_key] = trace
     return trace
 
@@ -493,7 +492,7 @@ class ExperimentRunner:
             # mixed-size batch sequence keeps reusing one pool instead of
             # re-forking it whenever the batch size changes.
             dispatch_started = perf_counter()
-            generation_before = phases.snapshot().get("generation", 0.0)
+            generation_before = obs_spans.phase_totals().get("generation", 0.0)
             ordered = sorted(misses.values(), key=_dispatch_order)
             use_shm = _shm_enabled()
             segments = []
@@ -544,8 +543,8 @@ class ExperimentRunner:
             # then fold each worker task's phase/span observations in --
             # parallel snapshots carry real worker breakdowns, not a blind
             # spot.
-            generation_delta = phases.snapshot().get("generation", 0.0) - generation_before
-            phases.add(
+            generation_delta = obs_spans.phase_totals().get("generation", 0.0) - generation_before
+            obs_spans.add_phase(
                 "dispatch", perf_counter() - dispatch_started - generation_delta
             )
             results: Dict[str, CoreResult] = {}

@@ -9,8 +9,9 @@ lines and 1-cycle latency, a 2 MB 4-way L2 with 10-cycle latency and a
   Every policy supports *locked* ways (needed by the line-based Epoch
   Resolution Table, which pins lines referenced by in-flight low-locality
   memory instructions) and never evicts one.
-* :mod:`repro.memory.cache` -- a set-associative cache model with per-line
-  lock/unlock bookkeeping and access statistics.
+* :mod:`repro.memory.cache` -- a set-associative cache model with lazily
+  created sets, whole-cache capture/restore, per-line lock/unlock
+  bookkeeping and access statistics.
 * :mod:`repro.memory.hierarchy` -- the two-level hierarchy plus main memory,
   returning the access latency and the level that serviced each access.
 * :mod:`repro.memory.mrc` -- the miss-ratio-curve profiler: miss rate versus
@@ -22,32 +23,32 @@ from repro.memory.hierarchy import HierarchyAccess, MemoryHierarchy, MemoryLevel
 from repro.memory.replacement import (
     POLICY_NAMES,
     TIMING_POLICY_NAMES,
-    ArcState,
-    FifoState,
-    LfuState,
-    LruState,
-    OptState,
+    ArcPolicy,
+    FifoPolicy,
+    LfuPolicy,
+    LruPolicy,
+    OptPolicy,
     ReplacementPolicy,
-    TwoQState,
+    TwoQPolicy,
     create_policy,
     validate_policy_name,
 )
 
 __all__ = [
     "AccessResult",
-    "ArcState",
-    "FifoState",
+    "ArcPolicy",
+    "FifoPolicy",
     "HierarchyAccess",
-    "LfuState",
-    "LruState",
+    "LfuPolicy",
+    "LruPolicy",
     "MemoryHierarchy",
     "MemoryLevel",
-    "OptState",
+    "OptPolicy",
     "POLICY_NAMES",
     "ReplacementPolicy",
     "SetAssociativeCache",
     "TIMING_POLICY_NAMES",
-    "TwoQState",
+    "TwoQPolicy",
     "create_policy",
     "validate_policy_name",
 ]

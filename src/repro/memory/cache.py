@@ -7,6 +7,16 @@ per-line *lock* bookkeeping required by the line-based Epoch Resolution
 Table.  It does not model data contents -- the simulator is trace driven --
 only residency, which is all the timing and filtering models need.
 
+Sets are lazy.  A cache holds one replacement-policy object for all of its
+sets, and a set's tag row and replacement state are created the first time
+an access, probe or lock touches the set: fresh, or copied from the snapshot
+the cache was last :meth:`~SetAssociativeCache.restore`-d from.  Building a
+2 MB L2 therefore costs nothing per set, a restore only records the snapshot
+(which is shared, never written), and a short simulation pays for the few
+hundred sets it touches rather than for all of them.
+:meth:`~SetAssociativeCache.capture` reports every set, creating those not
+yet touched.
+
 Locking semantics (Section 3.4 of the paper):
 
 * A line may be locked by one or more *owners* (epochs).  A locked line is
@@ -23,12 +33,12 @@ Locking semantics (Section 3.4 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
-from repro.memory.replacement import ReplacementPolicy, create_policy
+from repro.memory.replacement import create_policy
 
 
 @dataclass(frozen=True)
@@ -56,6 +66,13 @@ class LockResult:
 _HIT_RESULT = AccessResult(hit=True, evicted_line=None)
 _MISS_RESULT = AccessResult(hit=False, evicted_line=None)
 
+#: A whole-cache snapshot: element ``i`` is set ``i``'s ``(tags, policy
+#: snapshot)``, the tags a tuple of the resident line number (or ``None``)
+#: per way.  :meth:`SetAssociativeCache.capture` returns a tuple; any
+#: sequence with this indexing restores, including one that computes its
+#: elements on first request.
+CacheState = Sequence[Tuple[Tuple[Optional[int], ...], Any]]
+
 
 class SetAssociativeCache:
     """Tag-state model of one cache level.
@@ -70,7 +87,7 @@ class SetAssociativeCache:
         ``{name}.lock_conflicts``.
     next_use:
         Future-reuse oracle required by the ``opt`` replacement policy
-        (see :class:`repro.memory.replacement.OptState`); ignored by every
+        (see :class:`repro.memory.replacement.OptPolicy`); ignored by every
         online policy.  Constructing an ``opt`` cache without it raises
         :class:`~repro.common.errors.ConfigurationError`.
     """
@@ -84,8 +101,8 @@ class SetAssociativeCache:
     ) -> None:
         self.config = config
         self._stats = stats if stats is not None else StatsRegistry()
-        #: When False, accesses update tag/LRU state but record no statistics
-        #: (used by the functional cache warm-up pass).
+        #: When False, accesses update tag/replacement state but record no
+        #: statistics (used by the functional cache warm-up pass).
         self.stats_enabled = True
         self._num_sets = config.num_sets
         self._line_shift = config.line_size.bit_length() - 1
@@ -96,16 +113,15 @@ class SetAssociativeCache:
         self._evictions_name = f"{config.name}.evictions"
         self._lock_conflicts_name = f"{config.name}.lock_conflicts"
         self._lines_locked_name = f"{config.name}.lines_locked"
-        #: per-set mapping from way index to resident line number (tag+index).
-        self._tags: List[List[Optional[int]]] = [
-            [None] * config.associativity for _ in range(self._num_sets)
-        ]
-        #: per-set replacement state (the attribute name predates the policy
-        #: registry; every policy, not just LRU, lives here).
-        self._lru: List[ReplacementPolicy] = [
-            create_policy(config.replacement_policy, config.associativity, next_use=next_use)
-            for _ in range(self._num_sets)
-        ]
+        #: The replacement state of every set (one object for the cache).
+        self.policy = create_policy(
+            config.replacement_policy, config.associativity, next_use=next_use
+        )
+        #: per-set mapping from way index to resident line number (tag+index);
+        #: ``None`` until the set is first touched (see :meth:`_create_set`).
+        self._tags: List[Optional[List[Optional[int]]]] = [None] * self._num_sets
+        #: The snapshot untouched sets start from (``None``: never filled).
+        self._base: Optional[CacheState] = None
         #: line number -> set of lock owners.
         self._lock_owners: Dict[int, Set[int]] = {}
 
@@ -134,19 +150,22 @@ class SetAssociativeCache:
         return self._find_way(address) is not None
 
     def access(self, address: int, allocate_on_miss: bool = True) -> AccessResult:
-        """Access ``address``: update LRU on a hit, allocate on a miss.
+        """Access ``address``: record a hit with the policy, allocate on a miss.
 
         When ``allocate_on_miss`` is false the access only probes the tags
         (used for residency checks that must not disturb state).
         """
         line = address >> self._line_shift
         set_index = line % self._num_sets
+        row = self._tags[set_index]
+        if row is None:
+            row = self._create_set(set_index)
         try:
-            way = self._tags[set_index].index(line)
+            way = row.index(line)
         except ValueError:
             way = -1
         if way >= 0:
-            self._lru[set_index].touch(way)
+            self.policy.touch(set_index, way)
             if self.stats_enabled:
                 self._stats.bump(self._hits_name)
             return _HIT_RESULT
@@ -154,12 +173,49 @@ class SetAssociativeCache:
             self._stats.bump(self._misses_name)
         if not allocate_on_miss:
             return _MISS_RESULT
-        evicted, blocked = self._allocate(address)
+        evicted, blocked = self._allocate(line, set_index)
         return AccessResult(hit=False, evicted_line=evicted, allocation_blocked=blocked)
 
     def probe(self, address: int) -> bool:
-        """Probe the tags without updating LRU or allocating."""
+        """Probe the tags without updating replacement state or allocating."""
         return self._find_way(address) is not None
+
+    # ------------------------------------------------------------------
+    # Whole-cache snapshots
+    # ------------------------------------------------------------------
+
+    def capture(self) -> Tuple[Tuple[Tuple[Optional[int], ...], Any], ...]:
+        """Snapshot every set's tags and replacement state (a :data:`CacheState`).
+
+        Creates every set not yet touched.  Locks are not captured: the
+        snapshot describes residency and replacement order only.
+        """
+        tags = self._tags
+        policy = self.policy
+        snapshot = []
+        for set_index in range(self._num_sets):
+            row = tags[set_index]
+            if row is None:
+                row = self._create_set(set_index)
+            snapshot.append((tuple(row), policy.capture(set_index)))
+        return tuple(snapshot)
+
+    def restore(self, state: CacheState) -> None:
+        """Reset the cache to ``state``, dropping every lock.
+
+        Nothing is copied here: the cache keeps a reference to ``state`` and
+        copies one set out of it when the set is first touched, so ``state``
+        must not change afterwards and is never written by the cache.
+        """
+        if len(state) != self._num_sets:
+            raise SimulationError(
+                f"a {len(state)}-set snapshot cannot restore the "
+                f"{self._num_sets}-set cache {self.config.name!r}"
+            )
+        self._base = state
+        self._tags = [None] * self._num_sets
+        self.policy.clear()
+        self._lock_owners.clear()
 
     # ------------------------------------------------------------------
     # Line locking (line-based ERT support)
@@ -177,10 +233,10 @@ class SetAssociativeCache:
         way = self._find_way(address)
         allocated = False
         if way is None:
-            if self._lru[set_index].all_locked():
+            if self.policy.all_locked(set_index):
                 self._bump(self._lock_conflicts_name)
                 return LockResult(locked=False, conflict=True, allocated=False)
-            evicted, blocked = self._allocate(address)
+            evicted, blocked = self._allocate(line, set_index)
             if blocked:
                 self._bump(self._lock_conflicts_name)
                 return LockResult(locked=False, conflict=True, allocated=False)
@@ -194,7 +250,7 @@ class SetAssociativeCache:
         first_lock = line not in self._lock_owners
         owners = self._lock_owners.setdefault(line, set())
         owners.add(owner)
-        self._lru[set_index].lock(way)
+        self.policy.lock(set_index, way)
         if first_lock:
             self._bump(self._lines_locked_name)
         return LockResult(locked=True, conflict=False, allocated=allocated)
@@ -221,25 +277,40 @@ class SetAssociativeCache:
 
     def set_fully_locked(self, address: int) -> bool:
         """Whether every way of the set containing ``address`` is locked."""
-        return self._lru[self.set_index(address)].all_locked()
+        return self.policy.all_locked(self.set_index(address))
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
 
+    def _create_set(self, set_index: int) -> List[Optional[int]]:
+        """Create ``set_index``'s tag row and replacement state; return the row."""
+        base = self._base
+        if base is None:
+            row: List[Optional[int]] = [None] * self.config.associativity
+            self.policy.reset(set_index)
+        else:
+            tags, snapshot = base[set_index]
+            row = list(tags)
+            self.policy.restore(set_index, snapshot)
+        self._tags[set_index] = row
+        return row
+
     def _find_way(self, address: int) -> Optional[int]:
         line = address >> self._line_shift
+        set_index = line % self._num_sets
+        row = self._tags[set_index]
+        if row is None:
+            row = self._create_set(set_index)
         try:
-            return self._tags[line % self._num_sets].index(line)
+            return row.index(line)
         except ValueError:
             return None
 
-    def _allocate(self, address: int) -> Tuple[Optional[int], bool]:
-        """Allocate the line containing ``address``; return (evicted_line, blocked)."""
-        line = address >> self._line_shift
-        set_index = line % self._num_sets
-        lru = self._lru[set_index]
-        victim_way = lru.victim()
+    def _allocate(self, line: int, set_index: int) -> Tuple[Optional[int], bool]:
+        """Allocate ``line`` in its (already created) set; return (evicted_line, blocked)."""
+        policy = self.policy
+        victim_way = policy.victim(set_index)
         if victim_way is None:
             return None, True
         set_tags = self._tags[set_index]
@@ -248,16 +319,17 @@ class SetAssociativeCache:
             self._stats.bump(self._evictions_name)
             # A victim is never locked, so no lock bookkeeping to clean up.
         set_tags[victim_way] = line
-        lru.insert(victim_way, line)
+        policy.insert(set_index, victim_way, line)
         return evicted, False
 
     def _unlock_way_for_line(self, line: int) -> None:
         set_index = line % self._num_sets
         set_tags = self._tags[set_index]
-        for way, resident in enumerate(set_tags):
-            if resident == line:
-                self._lru[set_index].unlock(way)
-                return
+        if set_tags is not None:
+            for way, resident in enumerate(set_tags):
+                if resident == line:
+                    self.policy.unlock(set_index, way)
+                    return
         # The line may have been evicted only if it was never resident while
         # locked; reaching here indicates an accounting bug.
         raise SimulationError(f"locked line {line} is not resident in set {set_index}")

@@ -10,7 +10,7 @@ and reports one curve per (workload, policy) pair.
 
 Belady's OPT rides the same machinery: a first pass over the columnar
 address stream computes each access's next-use position, the forward pass
-maintains a ``line -> next use`` map, and :class:`~repro.memory.replacement.OptState`
+maintains a ``line -> next use`` map, and :class:`~repro.memory.replacement.OptPolicy`
 consumes it as its oracle.  Because every registered policy is a per-set
 demand policy over the same set mapping, per-set Belady is the lower bound:
 OPT's miss ratio is <= every other policy's on the same trace at every size

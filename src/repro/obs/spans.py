@@ -1,14 +1,17 @@
 """Span-level profiling: nestable timed spans plus per-phase totals.
 
-This module generalises the old ``repro.common.phases`` accumulator (which
-is now a thin shim over it).  Two views of the same instrumentation coexist:
+Two views of the same instrumentation coexist:
 
 * **Phase totals** -- ``{phase name: seconds}``, always accumulated.  The
-  hot paths report into them via :func:`add_phase` (through the
-  ``phases`` shim) and the bench harness snapshots them per timed run.
-  Worker processes return their per-task deltas to the parent, which merges
-  them with :func:`merge_worker` -- closing the historical parallel-mode
-  blind spot where worker phase data was simply lost.
+  hot paths report into them via :func:`add_phase` and ``repro bench``
+  snapshots them per timed run (:func:`phase_totals`).  The phases are
+  ``generation`` (synthesising workload traces), ``build`` (constructing
+  processor models), ``warmup`` (bringing cache state to its steady-state
+  snapshot), ``drive`` (the per-instruction loop) and ``dispatch``
+  (parent-side parallel orchestration).  A report is an O(1) dict update
+  per phase, a handful per simulation, never per instruction.  Worker
+  processes return their per-task deltas to the parent, which merges them
+  with :func:`merge_worker`, so parallel runs account worker time too.
 
 * **The span log** -- individual timed events (name, wall-clock start,
   duration, pid/tid, category, args), recorded only while

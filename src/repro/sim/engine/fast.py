@@ -21,12 +21,17 @@ This module re-implements the *same algorithms* with the interpreter in mind:
   geometry.  Because the replay inserts consecutive, non-overlapping lines
   into fresh caches, that state has a closed form (each insertion lands in a
   rotating way; the final LRU stack is the tail of the insertion sequence),
-  which is computed directly -- per (regions, geometry) pair, memoised per
-  process -- instead of replaying hundreds of thousands of accesses.
-  Overlapping footprints fall back to the reference replay, so the captured
-  state is identical in every case (``tests/test_engine_selection.py``
-  asserts equality against :meth:`MemoryHierarchy.warm_up_regions` across
-  all paper geometries).
+  which is computed directly instead of replaying hundreds of thousands of
+  accesses.  It is memoised per (regions, geometry) pair and per process,
+  and computed one set at a time, the first time any simulation touches
+  that set.  Overlapping footprints and non-LRU policies fall back to the
+  reference replay, so the state is identical in every case
+  (``tests/test_engine_selection.py`` asserts equality against
+  :meth:`MemoryHierarchy.warm_up_regions` across all paper geometries).
+  Restoring the memoised state into a fresh hierarchy
+  (:meth:`~repro.memory.cache.SetAssociativeCache.restore`) copies nothing:
+  each cache copies a set out of the shared, immutable state when it first
+  touches the set.
 * **Scalar frontier allocators.**  Fetch, commit, migration and per-engine
   issue bandwidth are requested in non-decreasing cycle order, so the
   reference allocator's per-cycle dictionary degenerates to a
@@ -45,16 +50,16 @@ histogram bin, cycle count and derived float) is bit-identical to the
 configurations.
 
 The loops also report per-phase wall time (``build`` / ``warmup`` /
-``drive``) to :mod:`repro.common.phases`, which ``repro bench`` folds into
-its artifact so speed-ups stay attributable.
+``drive``) to :func:`repro.obs.spans.add_phase`, which ``repro bench``
+folds into its artifact so speed-ups stay attributable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import phases
 from repro.common.errors import TraceError
 from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.fmc.processor import FMCProcessor
@@ -70,6 +75,7 @@ from repro.isa.columns import (
 from repro.isa.instruction import NUM_ARCH_REGISTERS
 from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.obs import spans as obs_spans
 from repro.uarch.ooo_core import (
     _LOCALITY_HISTOGRAM_BIN,
     _LOCALITY_HISTOGRAM_BINS,
@@ -82,11 +88,11 @@ from repro.uarch.result import CoreResult
 # Memoised functional cache warm-up
 # ----------------------------------------------------------------------
 
-#: (regions, l1 config, l2 config) -> captured post-warm-up cache state.
-#: The warm-up never locks lines and records no statistics, so tags plus the
-#: replacement policy's own capture() snapshot fully describe the state.  The
-#: cache configs in the key carry ``replacement_policy``, so each policy gets
-#: its own entry.
+#: (regions, l1 config, l2 config) -> (l1 state, l2 state), each a
+#: :data:`~repro.memory.cache.CacheState`.  The warm-up never locks lines and
+#: records no statistics, so tags plus the replacement policy's per-set
+#: snapshot fully describe the state.  The cache configs in the key carry
+#: ``replacement_policy``, so each policy gets its own entry.
 _WARM_MEMO: Dict[Tuple, Tuple] = {}
 _WARM_MEMO_LIMIT = 32
 
@@ -99,21 +105,6 @@ def clear_warm_memo() -> None:
     full warm-up computation instead of reusing a previous run's state.
     """
     _WARM_MEMO.clear()
-
-
-def _capture_cache(cache) -> Tuple:
-    return (
-        tuple(tuple(row) for row in cache._tags),
-        tuple(policy.capture() for policy in cache._lru),
-    )
-
-
-def _restore_cache(cache, state: Tuple) -> None:
-    tags, snapshots = state
-    cache._tags = [list(row) for row in tags]
-    policies = cache._lru
-    for index, snapshot in enumerate(snapshots):
-        policies[index].restore(snapshot)
 
 
 def _warm_line_ranges(footprints, cache_config) -> List[Tuple[int, int]]:
@@ -136,17 +127,75 @@ def _warm_line_ranges(footprints, cache_config) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _warm_cache_state(footprints, cache_config) -> Optional[Tuple]:
-    """Compute one level's post-warm-up (tags, LRU orders) in closed form.
+class _AnalyticWarmState(Sequence):
+    """One LRU level's post-warm-up :data:`~repro.memory.cache.CacheState`.
+
+    Element ``i`` is set ``i``'s closed-form ``(tags, LRU order)``, computed
+    on first request and kept, so the memo entry pays only for the sets
+    some simulation touched.  Every element is an immutable tuple, which
+    restored caches share and never write.
 
     The warm-up inserts each footprint's lines in consecutive order into a
     fresh, lock-free cache.  When no line is inserted twice, the replay has
     a closed form: the ``j``-th insertion into a set lands in way
     ``assoc - 1 - (j % assoc)`` (a fresh LRU stack hands out ways from the
-    top down, then cycles), so the final tags and recency stack of every set
-    are determined by the tail of its insertion sequence -- and each set's
-    insertion sequence is a concatenation of arithmetic progressions (one
-    per footprint, stride ``num_sets``), so the tail is computed directly.
+    top down, then cycles).  After ``n`` insertions the newest line sits in
+    way ``-n % assoc`` and each older one in the next way up, cyclically, so
+    the recency stack is a rotation of the ways and the tags are the last
+    ``assoc`` lines inserted, rotated into place.  A set's insertion
+    sequence is a concatenation of arithmetic progressions (one per
+    footprint, stride ``num_sets``), so those lines are computed directly.
+    """
+
+    __slots__ = ("_ranges", "_num_sets", "_assoc", "_orders", "_sets")
+
+    def __init__(self, ranges: List[Tuple[int, int]], cache_config) -> None:
+        #: (first line, line count) per footprint, oldest insertion first.
+        self._ranges = ranges
+        self._num_sets = cache_config.num_sets
+        self._assoc = assoc = cache_config.associativity
+        #: The recency stack whose most recently used way is ``w``, per ``w``.
+        self._orders = [tuple(range(w, assoc)) + tuple(range(w)) for w in range(assoc)]
+        self._sets: List[Optional[Tuple]] = [None] * self._num_sets
+
+    def __len__(self) -> int:
+        return self._num_sets
+
+    def __getitem__(self, set_index: int) -> Tuple:
+        entry = self._sets[set_index]
+        if entry is None:
+            # Unlocked on purpose: threads racing on one set compute equal
+            # tuples, and either one may be kept.
+            set_index %= self._num_sets
+            entry = self._sets[set_index] = self._compute(set_index)
+        return entry
+
+    def _compute(self, set_index: int) -> Tuple:
+        num_sets = self._num_sets
+        assoc = self._assoc
+        # The last `assoc` lines inserted into this set, newest first.
+        tail: List[int] = []
+        inserted = 0
+        for first_line, fill in reversed(self._ranges):
+            offset = (set_index - first_line) % num_sets
+            if offset >= fill:
+                continue
+            count = (fill - offset - 1) // num_sets + 1
+            inserted += count
+            take = assoc - len(tail)
+            if take > 0:
+                newest = first_line + offset + (count - 1) * num_sets
+                tail.extend(range(newest, newest - min(take, count) * num_sets, -num_sets))
+        newest_way = -inserted % assoc
+        # Ways never filled hold no line and keep their ascending order.
+        row: List[Optional[int]] = [None] * assoc
+        for position, line in enumerate(tail):
+            row[(newest_way + position) % assoc] = line
+        return tuple(row), self._orders[newest_way]
+
+
+def _warm_cache_state(footprints, cache_config) -> Optional[_AnalyticWarmState]:
+    """One level's post-warm-up state in closed form, computed per set on demand.
 
     Returns ``None`` when footprints' line ranges overlap (re-inserted lines
     would hit instead of allocate) or when the level runs a non-LRU
@@ -161,54 +210,7 @@ def _warm_cache_state(footprints, cache_config) -> Optional[Tuple]:
     for (_a_start, a_end), (b_start, _b_end) in zip(spans, spans[1:]):
         if b_start < a_end:
             return None
-
-    num_sets = cache_config.num_sets
-    assoc = cache_config.associativity
-    num_ranges = len(ranges)
-    tags: List[Tuple] = []
-    orders: List[Tuple] = []
-    counts = [0] * num_ranges
-    for set_index in range(num_sets):
-        inserted = 0
-        for index in range(num_ranges):
-            first_line, fill = ranges[index]
-            offset = (set_index - first_line) % num_sets
-            if offset < fill:
-                count = (fill - offset - 1) // num_sets + 1
-            else:
-                count = 0
-            counts[index] = count
-            inserted += count
-        want = assoc if inserted >= assoc else inserted
-        # The last `want` lines inserted into this set, newest first.
-        tail: List[int] = []
-        for index in range(num_ranges - 1, -1, -1):
-            count = counts[index]
-            if not count:
-                continue
-            if len(tail) >= want:
-                break
-            first_line, _fill = ranges[index]
-            offset = (set_index - first_line) % num_sets
-            newest = first_line + offset + (count - 1) * num_sets
-            take = want - len(tail)
-            if take > count:
-                take = count
-            for step in range(take):
-                tail.append(newest - step * num_sets)
-        row: List[Optional[int]] = [None] * assoc
-        order: List[int] = []
-        for position in range(want):
-            insertion = inserted - 1 - position
-            way = assoc - 1 - (insertion % assoc)
-            order.append(way)
-            row[way] = tail[position]
-        if inserted < assoc:
-            # Untouched ways keep their original (ascending) recency order.
-            order.extend(range(assoc - inserted))
-        tags.append(tuple(row))
-        orders.append(tuple(order))
-    return tuple(tags), tuple(orders)
+    return _AnalyticWarmState(ranges, cache_config)
 
 
 def _compute_warm_state(hierarchy: MemoryHierarchy, regions) -> Tuple:
@@ -219,20 +221,23 @@ def _compute_warm_state(hierarchy: MemoryHierarchy, regions) -> Tuple:
     l2_state = _warm_cache_state(footprints, config.l2)
     if l1_state is not None and l2_state is not None:
         return l1_state, l2_state
-    # Overlapping footprints: replay the reference warm-up into a scratch
-    # hierarchy and capture its state, which is identical by construction.
+    # Overlapping footprints or a non-LRU policy: replay the reference
+    # warm-up into a scratch hierarchy and capture its state, which is
+    # identical by construction.
     scratch = MemoryHierarchy(config)
     scratch.warm_up_regions(regions)
-    return _capture_cache(scratch.l1), _capture_cache(scratch.l2)
+    return scratch.l1.capture(), scratch.l2.capture()
 
 
 def warm_hierarchy(hierarchy: MemoryHierarchy, regions) -> None:
     """Bring ``hierarchy`` to the post-warm-up state for ``regions``.
 
-    The first request for a (regions, geometry) pair computes the closed-form
-    warm state (or, for overlapping footprints, captures a reference replay)
-    and memoises it; every request restores the state into the fresh
-    hierarchy as a plain array copy, skipping the replay entirely.
+    The first request for a (regions, geometry) pair memoises its warm
+    state: the closed form, whose sets are computed as simulations first
+    touch them, or, for overlapping footprints and non-LRU policies, a
+    capture of the reference replay.  Every request restores the memoised
+    state into the fresh hierarchy by reference; each cache copies a set
+    out of it only when the simulation first touches that set.
     """
     key = (regions, hierarchy.config.l1, hierarchy.config.l2)
     state = _WARM_MEMO.get(key)
@@ -241,8 +246,8 @@ def warm_hierarchy(hierarchy: MemoryHierarchy, regions) -> None:
         if len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
             _WARM_MEMO.clear()
         _WARM_MEMO[key] = state
-    _restore_cache(hierarchy.l1, state[0])
-    _restore_cache(hierarchy.l2, state[1])
+    hierarchy.l1.restore(state[0])
+    hierarchy.l2.restore(state[1])
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +264,7 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
     if core.warm_caches and trace.regions:
         warm_hierarchy(core.hierarchy, trace.regions)
     drive_started = perf_counter()
-    phases.add("warmup", drive_started - warm_started)
+    obs_spans.add_phase("warmup", drive_started - warm_started)
     load_hist = stats.histogram(
         "decode_to_address.loads", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
     )
@@ -558,7 +563,7 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
     policy.finalize(total_cycles, committed)
     stats.counter("core.cycles").add(total_cycles)
     stats.counter("core.committed_instructions").add(committed)
-    phases.add("drive", perf_counter() - drive_started)
+    obs_spans.add_phase("drive", perf_counter() - drive_started)
 
     return CoreResult(
         trace_name=trace.name,
@@ -585,7 +590,7 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
     if processor.warm_caches and trace.regions:
         warm_hierarchy(processor.hierarchy, trace.regions)
     drive_started = perf_counter()
-    phases.add("warmup", drive_started - warm_started)
+    obs_spans.add_phase("warmup", drive_started - warm_started)
 
     load_hist = stats.histogram(
         "decode_to_address.loads", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
@@ -1056,7 +1061,7 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
     mean_allocated_epochs = (
         epoch_live_cycle_sum / ll_active_cycles if ll_active_cycles > 0 else 0.0
     )
-    phases.add("drive", perf_counter() - drive_started)
+    obs_spans.add_phase("drive", perf_counter() - drive_started)
 
     return CoreResult(
         trace_name=trace.name,
@@ -1088,7 +1093,7 @@ class FastEngine:
             return machine.build().run(trace)
         build_started = perf_counter()
         processor = machine.build()
-        phases.add("build", perf_counter() - build_started)
+        obs_spans.add_phase("build", perf_counter() - build_started)
         if isinstance(processor, FMCProcessor):
             return run_fmc_fast(processor, trace)
         return run_ooo_fast(processor, trace)

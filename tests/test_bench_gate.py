@@ -169,6 +169,46 @@ def test_cli_gate_exit_codes(tmp_path):
     assert done.returncode == 2
 
 
+def test_gate_never_overwrites_its_baseline(tmp_path):
+    """Regression: ``--output`` used to default to the tracked baseline and be
+    written before ``--gate`` was read, so ``repro bench --gate BASELINE``
+    overwrote the baseline and then compared the run with itself."""
+    baseline_path = tmp_path / "baseline.json"
+    baseline_text = json.dumps(_artifact({"fig7": _figure(1_000.0, 1_000_000.0)}))
+    baseline_path.write_text(baseline_text)
+    # The same file under two spellings is refused before anything runs.
+    done = run_cli(
+        [
+            "bench",
+            "--figures", "fig7",
+            "--instructions", "300",
+            "--output", str(tmp_path / "sub" / ".." / "baseline.json"),
+            "--gate", "baseline.json",
+        ],
+        cwd=tmp_path,
+    )
+    assert done.returncode == 2
+    assert "same file" in done.stderr
+    assert baseline_path.read_text() == baseline_text
+
+    # The default --output is an untracked BENCH.json next to the baseline.
+    done = run_cli(
+        [
+            "bench",
+            "--figures", "fig7",
+            "--instructions", "300",
+            "--jobs", "2",
+            "--gate", "baseline.json",
+            "--gate-min-improvement", "0.0001",
+            "--gate-min-speedup", "0.0001",
+        ],
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert baseline_path.read_text() == baseline_text
+    assert json.loads((tmp_path / "BENCH.json").read_text())["artifact"] == "repro-bench"
+
+
 def test_bench_artifact_is_self_describing(tmp_path):
     """The artifact records engine, git revision and a per-phase breakdown
     whose serial phases account for (almost all of) the serial wall time."""

@@ -141,14 +141,9 @@ def test_analytic_warm_state_matches_reference_across_geometries() -> None:
                 reference.warm_up_regions(regions)
                 warmed = MemoryHierarchy(config)
                 warm_hierarchy(warmed, regions)
-                assert warmed.l1._tags == reference.l1._tags
-                assert warmed.l2._tags == reference.l2._tags
-                assert [lru._order for lru in warmed.l1._lru] == [
-                    lru._order for lru in reference.l1._lru
-                ]
-                assert [lru._order for lru in warmed.l2._lru] == [
-                    lru._order for lru in reference.l2._lru
-                ]
+                # capture() reports every set's tags and LRU order.
+                assert warmed.l1.capture() == reference.l1.capture()
+                assert warmed.l2.capture() == reference.l2.capture()
     finally:
         clear_warm_memo()
 
@@ -167,16 +162,10 @@ def test_warm_memo_restores_identical_cache_state() -> None:
         first = MemoryHierarchy()
         warm_hierarchy(first, trace.regions)  # memo miss: computes + captures
         restored = MemoryHierarchy()
-        warm_hierarchy(restored, trace.regions)  # memo hit: restores arrays
+        warm_hierarchy(restored, trace.regions)  # memo hit: restores lazily
 
         for warmed in (first, restored):
-            assert warmed.l1._tags == reference.l1._tags
-            assert warmed.l2._tags == reference.l2._tags
-            assert [lru._order for lru in warmed.l1._lru] == [
-                lru._order for lru in reference.l1._lru
-            ]
-            assert [lru._order for lru in warmed.l2._lru] == [
-                lru._order for lru in reference.l2._lru
-            ]
+            assert warmed.l1.capture() == reference.l1.capture()
+            assert warmed.l2.capture() == reference.l2.capture()
     finally:
         clear_warm_memo()

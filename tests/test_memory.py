@@ -10,7 +10,7 @@ from repro.common.stats import StatsRegistry
 from repro.isa.trace import RegionFootprint
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.hierarchy import MemoryHierarchy, MemoryLevel
-from repro.memory.replacement import LruState
+from repro.memory.replacement import LruPolicy
 
 
 def _tiny_cache(associativity: int = 2, sets: int = 4, line: int = 32) -> SetAssociativeCache:
@@ -24,47 +24,54 @@ def _tiny_cache(associativity: int = 2, sets: int = 4, line: int = 32) -> SetAss
     return SetAssociativeCache(config, StatsRegistry())
 
 
+def _lru(associativity: int) -> LruPolicy:
+    """An LRU policy with its set 0 created (the tests drive that one set)."""
+    lru = LruPolicy(associativity)
+    lru.reset(0)
+    return lru
+
+
 class TestLruState:
     def test_victim_is_least_recently_used(self):
-        lru = LruState(4)
+        lru = _lru(4)
         for way in (0, 1, 2, 3):
-            lru.touch(way)
-        assert lru.victim() == 0
+            lru.touch(0, way)
+        assert lru.victim(0) == 0
 
     def test_touch_moves_to_front(self):
-        lru = LruState(2)
-        lru.touch(0)
-        lru.touch(1)
-        lru.touch(0)
-        assert lru.victim() == 1
+        lru = _lru(2)
+        lru.touch(0, 0)
+        lru.touch(0, 1)
+        lru.touch(0, 0)
+        assert lru.victim(0) == 1
 
     def test_locked_way_never_victim(self):
-        lru = LruState(2)
-        lru.touch(0)
-        lru.touch(1)
-        lru.lock(0)
-        assert lru.victim() == 1
+        lru = _lru(2)
+        lru.touch(0, 0)
+        lru.touch(0, 1)
+        lru.lock(0, 0)
+        assert lru.victim(0) == 1
 
     def test_all_locked_has_no_victim(self):
-        lru = LruState(2)
-        lru.lock(0)
-        lru.lock(1)
-        assert lru.all_locked()
-        assert lru.victim() is None
+        lru = _lru(2)
+        lru.lock(0, 0)
+        lru.lock(0, 1)
+        assert lru.all_locked(0)
+        assert lru.victim(0) is None
 
     def test_unlock_restores_eligibility(self):
-        lru = LruState(1)
-        lru.lock(0)
-        lru.unlock(0)
-        assert lru.victim() == 0
+        lru = _lru(1)
+        lru.lock(0, 0)
+        lru.unlock(0, 0)
+        assert lru.victim(0) == 0
 
     def test_out_of_range_way_rejected(self):
         with pytest.raises(SimulationError):
-            LruState(2).touch(5)
+            _lru(2).touch(0, 5)
 
     def test_zero_associativity_rejected(self):
         with pytest.raises(ConfigurationError):
-            LruState(0)
+            LruPolicy(0)
 
 
 class TestSetAssociativeCache:

@@ -14,7 +14,7 @@ from repro.core.records import Locality, StoreRecord
 from repro.core.svw import StoreVulnerabilityWindow
 from repro.isa.instruction import load, store
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.replacement import LruState
+from repro.memory.replacement import LruPolicy
 from repro.uarch.resources import BandwidthAllocator, OccupancyWindow
 
 addresses = st.integers(min_value=0, max_value=1 << 30).map(lambda value: value & ~0x7)
@@ -49,12 +49,13 @@ def test_address_hash_equal_addresses_always_collide(a, b):
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=100))
 def test_lru_victim_is_always_unlocked_or_none(touch_sequence):
-    lru = LruState(4)
+    lru = LruPolicy(4)
+    lru.reset(0)
     for way in touch_sequence:
-        lru.touch(way)
-    lru.lock(0)
-    victim = lru.victim()
-    assert victim is None or not lru.is_locked(victim)
+        lru.touch(0, way)
+    lru.lock(0, 0)
+    victim = lru.victim(0)
+    assert victim is None or not lru.is_locked(0, victim)
 
 
 @given(st.lists(addresses, min_size=1, max_size=300))
