@@ -171,8 +171,17 @@ class StatsRegistry:
         return existing
 
     def bump(self, name: str, amount: int = 1) -> None:
-        """Convenience: increment the counter called ``name`` by ``amount``."""
-        self.counter(name).add(amount)
+        """Increment the counter called ``name`` by ``amount``, creating it if necessary.
+
+        Same contract as ``counter(name).add(amount)``, in one frame: this is
+        called millions of times per simulation.
+        """
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        if amount < 0:
+            raise ConfigurationError(f"counter {name!r} cannot decrease (got {amount})")
+        counter.value += amount
 
     def value(self, name: str) -> int:
         """Return the current value of a counter (0 if it was never touched)."""

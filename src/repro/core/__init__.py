@@ -33,7 +33,6 @@ from repro.core.policy import CommitOutcome, LoadOutcome, LSQPolicy, StoreOutcom
 from repro.core.queues import StoreBuffer
 from repro.core.records import (
     EpochState,
-    ForwardingResult,
     Locality,
     LoadRecord,
     StoreRecord,
@@ -50,7 +49,6 @@ __all__ = [
     "EpochResolutionTable",
     "EpochState",
     "ERTInsertOutcome",
-    "ForwardingResult",
     "HashBasedERT",
     "IdealCentralLSQ",
     "LineBasedERT",

@@ -58,11 +58,11 @@ class ConventionalLSQ(LSQPolicy):
 
     def load_issued(self, load: LoadRecord) -> LoadOutcome:
         self.stats.bump("hl_sq.searches")
-        self._stores.prune_slow(load.decode_cycle)
+        self._stores.advance(load.decode_cycle)
         forwarding = self._stores.find_any_forwarding(
             load.address, load.size, load.seq, load.issue_cycle
         )
-        forwarding_seq = forwarding.store.seq if forwarding.hit else -1
+        forwarding_seq = forwarding.seq if forwarding is not None else -1
         load.unresolved_older_store_at_issue = self._stores.any_unresolved_older_store(
             load.seq, forwarding_seq, load.issue_cycle
         )
@@ -73,15 +73,14 @@ class ConventionalLSQ(LSQPolicy):
         if violation:
             self.stats.bump("lsq.violations")
 
-        if forwarding.hit:
-            assert forwarding.store is not None
-            load.forwarded_from = forwarding.store.seq
+        if forwarding is not None:
+            load.forwarded_from = forwarding.seq
             self.stats.bump("lsq.forwarded_loads")
-            data_wait = max(0, forwarding.store.data_ready_cycle - load.issue_cycle)
+            data_wait = max(0, forwarding.data_ready_cycle - load.issue_cycle)
             return LoadOutcome(
                 latency=_FORWARD_LATENCY + data_wait,
                 forwarded=True,
-                forwarding_store_seq=forwarding.store.seq,
+                forwarding_store_seq=forwarding.seq,
                 violation=violation,
             )
 
@@ -138,7 +137,7 @@ class IdealCentralLSQ(LSQPolicy):
 
     def load_issued(self, load: LoadRecord) -> LoadOutcome:
         self.stats.bump("central_lsq.searches")
-        self._stores.prune_slow(load.decode_cycle)
+        self._stores.advance(load.decode_cycle)
         remote = load.locality is Locality.LOW
         remote_penalty = self.round_trip_latency if remote else 0
         if remote:
@@ -147,7 +146,7 @@ class IdealCentralLSQ(LSQPolicy):
         forwarding = self._stores.find_any_forwarding(
             load.address, load.size, load.seq, load.issue_cycle
         )
-        forwarding_seq = forwarding.store.seq if forwarding.hit else -1
+        forwarding_seq = forwarding.seq if forwarding is not None else -1
         load.unresolved_older_store_at_issue = self._stores.any_unresolved_older_store(
             load.seq, forwarding_seq, load.issue_cycle
         )
@@ -158,15 +157,14 @@ class IdealCentralLSQ(LSQPolicy):
         if violation:
             self.stats.bump("lsq.violations")
 
-        if forwarding.hit:
-            assert forwarding.store is not None
-            load.forwarded_from = forwarding.store.seq
+        if forwarding is not None:
+            load.forwarded_from = forwarding.seq
             self.stats.bump("lsq.forwarded_loads")
-            data_wait = max(0, forwarding.store.data_ready_cycle - load.issue_cycle)
+            data_wait = max(0, forwarding.data_ready_cycle - load.issue_cycle)
             return LoadOutcome(
                 latency=_FORWARD_LATENCY + data_wait + remote_penalty,
                 forwarded=True,
-                forwarding_store_seq=forwarding.store.seq,
+                forwarding_store_seq=forwarding.seq,
                 violation=violation,
             )
 

@@ -157,7 +157,7 @@ class EpochBasedLSQ(LSQPolicy):
 
     def load_issued(self, load: LoadRecord) -> LoadOutcome:
         self._purge_committed_epochs(load.decode_cycle)
-        self._stores.prune_slow(load.decode_cycle)
+        self._stores.advance(load.decode_cycle)
         if load.locality is Locality.HIGH:
             outcome = self._high_locality_load(load)
         else:
@@ -169,9 +169,8 @@ class EpochBasedLSQ(LSQPolicy):
         # Local level: the HL-SQ is always searched (and the ERT in parallel).
         self.stats.bump("hl_sq.searches")
         local = self._stores.find_hl_forwarding(load.address, load.size, load.seq, cycle)
-        if local.hit:
-            assert local.store is not None
-            return self._forwarded_outcome(load, local.store, extra_latency=0, local=True)
+        if local is not None:
+            return self._forwarded_outcome(load, local, extra_latency=0, local=True)
 
         # Global level: consult the ERT only while low-locality epochs exist
         # (otherwise the whole LL machinery is in its low-power mode).
@@ -214,10 +213,9 @@ class EpochBasedLSQ(LSQPolicy):
             epoch_id, load.address, load.size, load.seq, cycle,
             self._epoch_commit_cycle(epoch_id),
         )
-        if local.hit:
-            assert local.store is not None
+        if local is not None:
             self.stats.bump("elsq.local_ll_forwards")
-            outcome = self._forwarded_outcome(load, local.store, extra_latency=0, local=True)
+            outcome = self._forwarded_outcome(load, local, extra_latency=0, local=True)
             return LoadOutcome(
                 latency=outcome.latency,
                 forwarded=True,
@@ -282,12 +280,12 @@ class EpochBasedLSQ(LSQPolicy):
             self.stats.bump("ll_sq.searches")
             if self._sqm is not None and remote_from_epoch is None:
                 self._sqm.access()
-            result = self._stores.find_epoch_forwarding(
+            store = self._stores.find_epoch_forwarding(
                 candidate, load.address, load.size, load.seq, cycle,
                 self._epoch_commit_cycle(candidate),
             )
-            if result.hit:
-                return result.store, searched
+            if store is not None:
+                return store, searched
             self.stats.bump("ert.false_positives")
         return None, searched
 

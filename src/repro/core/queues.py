@@ -15,9 +15,23 @@ asks, *as of a given cycle*:
   unknown at load issue?" (the actual violation that forces a squash or a
   re-execution).
 
-Searches are indexed by 8-byte word (the workloads issue word-aligned 4- or
-8-byte accesses) so each query touches only the handful of stores that ever
-wrote that word.
+The forwarding and violation searches are indexed by 8-byte word (the
+workloads issue word-aligned 4- or 8-byte accesses) so each query touches
+only the handful of stores that ever wrote that word.
+
+The address-independent second question is answered from an index of the
+stores that may still be unresolved, pruned against a *frontier*.  Loads
+reach the LSQ in program order, so their decode cycles never decrease; the
+caller advances the frontier to each load's decode cycle (:meth:`advance`)
+before asking about that load, and asks at its issue cycle, which is never
+below it.  A store whose address is known at the frontier (and therefore at
+every later query cycle) can never answer "unresolved" again and is dropped;
+its commit cycle is no earlier than its address-ready cycle, so stores that
+have left the queue by the frontier go with it.  The pruning is exact, so the
+query still considers every older in-flight store, and it scans only the few
+stores whose addresses are genuinely late.  A frontier that moves backwards
+or a query below it would void that argument, so both raise
+:class:`~repro.common.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -25,7 +39,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.core.records import ForwardingResult, StoreRecord
+from repro.common.errors import SimulationError
+from repro.core.records import StoreRecord
 
 #: Number of low address bits ignored by the word index.
 _WORD_SHIFT = 3
@@ -34,29 +49,22 @@ _WORD_SHIFT = 3
 #: the youngest few stores to a word; older ones are dead for disambiguation.
 _PER_WORD_HISTORY = 32
 
-#: Stores whose address resolves more than this many cycles after decode are
-#: tracked as "slow" for the unresolved-older-store checks.
-_SLOW_ADDRESS_THRESHOLD = 15
-
-#: How many of the most recent stores are always checked for unresolved
-#: addresses (covers the short decode→issue window of ordinary stores).
-_RECENT_WINDOW = 48
-
 
 class StoreBuffer:
     """Timing-aware record of every store processed so far."""
 
     def __init__(self) -> None:
         self._by_word: Dict[int, Deque[StoreRecord]] = {}
-        self._recent: Deque[StoreRecord] = deque(maxlen=_RECENT_WINDOW)
-        self._slow: List[StoreRecord] = []
+        #: Stores whose address is still unknown at the frontier.
+        self._unresolved: List[StoreRecord] = []
+        self._frontier = 0
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
     # ------------------------------------------------------------------
-    # Insertion
+    # Insertion and the frontier
     # ------------------------------------------------------------------
 
     def add(self, store: StoreRecord) -> None:
@@ -67,15 +75,23 @@ class StoreBuffer:
             bucket = deque(maxlen=_PER_WORD_HISTORY)
             self._by_word[word] = bucket
         bucket.append(store)
-        self._recent.append(store)
-        if store.addr_ready_cycle - store.decode_cycle > _SLOW_ADDRESS_THRESHOLD:
-            self._slow.append(store)
+        if store.addr_ready_cycle > self._frontier:
+            self._unresolved.append(store)
         self._count += 1
 
-    def prune_slow(self, before_cycle: int) -> None:
-        """Drop slow-store bookkeeping for stores resolved before ``before_cycle``."""
-        if self._slow and len(self._slow) > 64:
-            self._slow = [store for store in self._slow if store.addr_ready_cycle >= before_cycle]
+    def advance(self, cycle: int) -> None:
+        """Move the frontier to ``cycle``: no later query asks about an earlier cycle.
+
+        Drops every indexed store whose address is known by ``cycle``.
+        """
+        if cycle < self._frontier:
+            raise SimulationError(
+                f"store-buffer frontier moved backwards from {self._frontier} to {cycle}"
+            )
+        self._frontier = cycle
+        unresolved = self._unresolved
+        if unresolved:
+            self._unresolved = [store for store in unresolved if store.addr_ready_cycle > cycle]
 
     # ------------------------------------------------------------------
     # Forwarding searches
@@ -83,7 +99,7 @@ class StoreBuffer:
 
     def find_hl_forwarding(
         self, address: int, size: int, before_seq: int, cycle: int
-    ) -> ForwardingResult:
+    ) -> Optional[StoreRecord]:
         """Youngest older store to the same bytes resident in the HL-SQ at ``cycle``."""
         return self._find(
             address,
@@ -101,7 +117,7 @@ class StoreBuffer:
         before_seq: int,
         cycle: int,
         epoch_commit_cycle: Optional[int] = None,
-    ) -> ForwardingResult:
+    ) -> Optional[StoreRecord]:
         """Youngest older matching store resident in epoch ``epoch_id`` at ``cycle``."""
         return self._find(
             address,
@@ -114,7 +130,7 @@ class StoreBuffer:
 
     def find_any_forwarding(
         self, address: int, size: int, before_seq: int, cycle: int
-    ) -> ForwardingResult:
+    ) -> Optional[StoreRecord]:
         """Youngest older matching store still in flight anywhere at ``cycle``.
 
         Used by the conventional and idealised central LSQs, which keep a
@@ -128,15 +144,13 @@ class StoreBuffer:
             residency=lambda store: store.in_flight_at(cycle),
         )
 
-    def _find(self, address, size, before_seq, cycle, residency) -> ForwardingResult:
+    def _find(self, address, size, before_seq, cycle, residency) -> Optional[StoreRecord]:
         bucket = self._by_word.get(address >> _WORD_SHIFT)
         if not bucket:
-            return ForwardingResult(store=None, entries_searched=0)
-        searched = 0
+            return None
         for store in reversed(bucket):
             if store.seq >= before_seq:
                 continue
-            searched += 1
             if not store.overlaps(address, size):
                 continue
             if not store.address_known_at(cycle):
@@ -144,13 +158,11 @@ class StoreBuffer:
                 # issued; the load cannot forward from it (this is the
                 # violation case, reported separately).
                 continue
-            if residency(store):
-                return ForwardingResult(store=store, entries_searched=searched)
-            # The youngest matching store is not resident in the searched
-            # structure; an older matching store must not forward (it holds a
-            # stale value), so stop at the first address match.
-            return ForwardingResult(store=None, entries_searched=searched)
-        return ForwardingResult(store=None, entries_searched=searched)
+            # The youngest matching store forwards only if it is resident in
+            # the searched structure; an older matching store must not forward
+            # (it holds a stale value), so stop at the first address match.
+            return store if residency(store) else None
+        return None
 
     # ------------------------------------------------------------------
     # Violation and unresolved-store checks
@@ -183,25 +195,19 @@ class StoreBuffer:
 
         This is the predicate of the no-unresolved-store filter
         ("CheckStores"): it is address independent, so it must consider every
-        in-flight older store, not just those writing the load's word.
+        in-flight older store, not just those writing the load's word.  Only
+        the stores still unresolved at the frontier can qualify, and
+        ``cycle`` must not lie below the frontier.
         """
-        for store in reversed(self._recent):
-            if store.seq >= before_seq or store.seq <= after_seq:
-                continue
-            if store.in_flight_at(cycle) and not store.address_known_at(cycle):
-                return True
-        for store in self._slow:
-            if store.seq >= before_seq or store.seq <= after_seq:
-                continue
-            if store.in_flight_at(cycle) and not store.address_known_at(cycle):
+        if cycle < self._frontier:
+            raise SimulationError(
+                f"unresolved-store query at cycle {cycle} below the frontier {self._frontier}"
+            )
+        for store in self._unresolved:
+            if (
+                after_seq < store.seq < before_seq
+                and store.decode_cycle <= cycle < store.commit_cycle
+                and store.addr_ready_cycle > cycle
+            ):
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Occupancy estimates (for energy accounting / diagnostics)
-    # ------------------------------------------------------------------
-
-    def stores_to_word(self, address: int) -> int:
-        """Number of recorded stores that wrote the word containing ``address``."""
-        bucket = self._by_word.get(address >> _WORD_SHIFT)
-        return len(bucket) if bucket else 0

@@ -65,15 +65,6 @@ class LoadRecord:
         if self.locality is Locality.LOW and self.epoch_id is None:
             raise SimulationError(f"load {self.seq}: low-locality loads must carry an epoch id")
 
-    @property
-    def line_address(self) -> int:
-        """The byte address of the first byte (alias for ``address``)."""
-        return self.address
-
-    def byte_range(self) -> tuple:
-        """Half-open byte range touched by this load."""
-        return (self.address, self.address + self.size)
-
 
 @dataclass(slots=True)
 class StoreRecord:
@@ -114,10 +105,6 @@ class StoreRecord:
         if self.locality is Locality.LOW and self.epoch_id is None:
             raise SimulationError(f"store {self.seq}: low-locality stores must carry an epoch id")
 
-    def byte_range(self) -> tuple:
-        """Half-open byte range written by this store."""
-        return (self.address, self.address + self.size)
-
     def overlaps(self, address: int, size: int) -> bool:
         """Whether this store writes any byte of ``[address, address + size)``."""
         return self.address < address + size and address < self.address + self.size
@@ -152,20 +139,6 @@ class StoreRecord:
         if epoch_commit_cycle is None:
             return True
         return cycle < epoch_commit_cycle
-
-
-@dataclass(frozen=True, slots=True)
-class ForwardingResult:
-    """Outcome of searching a store queue on behalf of a load."""
-
-    store: Optional[StoreRecord] = None
-    #: Entries examined by the associative search (for energy accounting).
-    entries_searched: int = 0
-
-    @property
-    def hit(self) -> bool:
-        """Whether a forwarding store was found."""
-        return self.store is not None
 
 
 @dataclass(slots=True)

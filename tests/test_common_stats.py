@@ -132,6 +132,27 @@ class TestStatsRegistry:
         with pytest.raises(ConfigurationError):
             a.merge(b)
 
+    def test_zero_bump_creates_a_reported_counter(self):
+        registry = StatsRegistry()
+        registry.bump("quiet", 0)
+        assert registry.snapshot().counters == {"quiet": 0}
+
+    def test_negative_bump_raises_and_leaves_value(self):
+        registry = StatsRegistry()
+        registry.bump("x", 4)
+        with pytest.raises(ConfigurationError):
+            registry.bump("x", -1)
+        assert registry.value("x") == 4
+
+    def test_bump_and_counter_add_share_one_counter(self):
+        registry = StatsRegistry()
+        registry.bump("x", 2)
+        counter = registry.counter("x")
+        counter.add(3)
+        registry.bump("x")
+        assert counter.value == 6
+        assert registry.counter("x") is counter
+
     def test_as_dict_sorted(self):
         registry = StatsRegistry()
         registry.bump("z")

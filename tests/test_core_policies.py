@@ -13,10 +13,25 @@ from repro.common.config import (
     SVWConfig,
 )
 from repro.common.stats import StatsRegistry
+from repro.core import conventional as conventional_module
+from repro.core import elsq as elsq_module
 from repro.core.conventional import ConventionalLSQ, IdealCentralLSQ
 from repro.core.elsq import EpochBasedLSQ
+from repro.core.queues import StoreBuffer
 from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.sim.configs import (
+    fmc_central,
+    fmc_hash,
+    fmc_hash_rsac,
+    fmc_hash_svw,
+    fmc_line,
+    ooo_64,
+    ooo_64_svw,
+)
+from repro.sim.engine import engine_by_name
+from repro.workloads.families import FAMILY_NAMES, family_suite
+from repro.workloads.suite import generate_member_trace
 
 
 def make_store(
@@ -374,3 +389,56 @@ class TestEpochBasedLSQ:
         assert not policy.uses_line_locking
         assert policy.disambiguation is DisambiguationModel.FULL
         assert policy.ert is not None
+
+
+# ----------------------------------------------------------------------
+# The unresolved-store index against an exhaustive scan, in real machines
+# ----------------------------------------------------------------------
+
+class _BruteForceCheckedStoreBuffer(StoreBuffer):
+    """A store buffer that checks every unresolved-store answer by full scan."""
+
+    queries = 0
+    unresolved = 0
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._every_store = []
+
+    def add(self, store):
+        super().add(store)
+        self._every_store.append(store)
+
+    def any_unresolved_older_store(self, before_seq, after_seq, cycle):
+        answer = super().any_unresolved_older_store(before_seq, after_seq, cycle)
+        expected = any(
+            after_seq < store.seq < before_seq
+            and store.in_flight_at(cycle)
+            and not store.address_known_at(cycle)
+            for store in self._every_store
+        )
+        assert answer == expected, (before_seq, after_seq, cycle)
+        type(self).queries += 1
+        type(self).unresolved += answer
+        return answer
+
+
+_PAPER_MACHINES = (ooo_64, ooo_64_svw, fmc_central, fmc_line, fmc_hash, fmc_hash_svw, fmc_hash_rsac)
+
+
+@pytest.mark.parametrize("machine_factory", _PAPER_MACHINES, ids=lambda factory: factory.__name__)
+def test_unresolved_store_index_matches_brute_force_in_every_machine(monkeypatch, machine_factory):
+    """Every family x 3 seeds: each answer the LSQ receives equals a full scan."""
+    monkeypatch.setattr(elsq_module, "StoreBuffer", _BruteForceCheckedStoreBuffer)
+    monkeypatch.setattr(conventional_module, "StoreBuffer", _BruteForceCheckedStoreBuffer)
+    monkeypatch.setattr(_BruteForceCheckedStoreBuffer, "queries", 0)
+    monkeypatch.setattr(_BruteForceCheckedStoreBuffer, "unresolved", 0)
+    machine = machine_factory()
+    engine = engine_by_name("fast")
+    for family_index, family in enumerate(FAMILY_NAMES):
+        members = list(family_suite(family))
+        for seed_index, seed in enumerate((2008, 7, 123)):
+            member = members[(family_index + seed_index) % len(members)]
+            engine.run(machine, generate_member_trace(member, 1_500, seed=seed))
+    assert _BruteForceCheckedStoreBuffer.queries > 0
+    assert _BruteForceCheckedStoreBuffer.unresolved > 0

@@ -230,30 +230,30 @@ class TestStoreBuffer:
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=200))
         buffer.add(make_store(2, 0x100, commit=200))
-        result = buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50)
-        assert result.hit and result.store.seq == 2
+        found = buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50)
+        assert found is not None and found.seq == 2
 
     def test_ignores_younger_stores(self):
         buffer = StoreBuffer()
         buffer.add(make_store(10, 0x100, commit=200))
-        assert not buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50) is None
 
     def test_ignores_committed_stores(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=40))
-        assert not buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50) is None
 
     def test_hl_versus_epoch_residency(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=500, locality=Locality.LOW, epoch=2, migration=20))
-        assert not buffer.find_hl_forwarding(0x100, 8, before_seq=5, cycle=50).hit
-        assert buffer.find_epoch_forwarding(2, 0x100, 8, before_seq=5, cycle=50).hit
-        assert not buffer.find_epoch_forwarding(3, 0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_hl_forwarding(0x100, 8, before_seq=5, cycle=50) is None
+        assert buffer.find_epoch_forwarding(2, 0x100, 8, before_seq=5, cycle=50) is not None
+        assert buffer.find_epoch_forwarding(3, 0x100, 8, before_seq=5, cycle=50) is None
 
     def test_unknown_address_store_does_not_forward(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, addr_ready=90, data_ready=90, commit=200))
-        assert not buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50) is None
 
     def test_violating_store_detected(self):
         buffer = StoreBuffer()
@@ -275,15 +275,22 @@ class TestStoreBuffer:
     def test_partial_overlap_forwards(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=200, size=8))
-        result = buffer.find_any_forwarding(0x104, 4, before_seq=3, cycle=50)
-        assert result.hit
+        assert buffer.find_any_forwarding(0x104, 4, before_seq=3, cycle=50) is not None
 
-    def test_stores_to_word(self):
+    def test_frontier_moving_backwards_raises(self):
         buffer = StoreBuffer()
-        buffer.add(make_store(1, 0x100, commit=200))
-        buffer.add(make_store(2, 0x100, commit=200))
-        assert buffer.stores_to_word(0x100) == 2
-        assert buffer.stores_to_word(0x900) == 0
+        buffer.advance(40)
+        buffer.advance(40)
+        with pytest.raises(SimulationError, match="backwards"):
+            buffer.advance(39)
+
+    def test_unresolved_query_below_frontier_raises(self):
+        buffer = StoreBuffer()
+        buffer.add(make_store(1, 0x500, addr_ready=90, commit=200))
+        buffer.advance(60)
+        assert buffer.any_unresolved_older_store(before_seq=5, after_seq=-1, cycle=60)
+        with pytest.raises(SimulationError, match="below the frontier"):
+            buffer.any_unresolved_older_store(before_seq=5, after_seq=-1, cycle=59)
 
 
 class TestStoreQueueMirror:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, ERTConfig, ERTKind, SVWConfig
@@ -109,13 +109,116 @@ def test_store_buffer_forwarding_store_is_older_matching_and_known(pairs):
     probe_seq = len(pairs)
     probe_cycle = len(pairs) + 10
     for address, _ in pairs:
-        result = buffer.find_any_forwarding(address, 8, before_seq=probe_seq, cycle=probe_cycle)
-        if result.hit:
-            found = result.store
+        found = buffer.find_any_forwarding(address, 8, before_seq=probe_seq, cycle=probe_cycle)
+        if found is not None:
             assert found.seq < probe_seq
             assert found.overlaps(address, 8)
             assert found.address_known_at(probe_cycle)
             assert found.in_flight_at(probe_cycle)
+
+
+def _brute_force_unresolved(stores, before_seq, after_seq, cycle):
+    """The unresolved-store predicate by exhaustive scan over every store."""
+    return any(
+        after_seq < store.seq < before_seq
+        and store.in_flight_at(cycle)
+        and not store.address_known_at(cycle)
+        for store in stores
+    )
+
+
+#: Address-ready delay styles (static, dynamic, oscillating), each able to
+#: produce delays on both sides of 15 cycles.
+_DELAY_STYLES = ("static", "dynamic", "oscillating")
+
+
+def _near_or_far(limit):
+    """Cycle offsets biased towards the frontier's off-by-one boundary."""
+    return st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=limit))
+
+
+_stream_ops = st.lists(
+    st.tuples(
+        st.booleans(),  # store burst (True) or load (False)
+        st.sampled_from((1, 2, 5, 49, 64)),  # stores decoded in the same cycle
+        _near_or_far(6),  # decode gap before the op
+        _near_or_far(40),  # dynamic address-ready delay
+        st.integers(min_value=0, max_value=60),  # commit after address ready
+        st.lists(_near_or_far(40), min_size=1, max_size=3),  # query offsets from the frontier
+        # Younger older ops the query covers (after_seq just below them), or
+        # None for every older store.
+        st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+@given(
+    st.sampled_from(_DELAY_STYLES),
+    _near_or_far(40),
+    _near_or_far(15),
+    st.integers(min_value=16, max_value=40),
+    st.integers(min_value=1, max_value=8),
+    _stream_ops,
+)
+# A store resolving at 15 cycles, then a burst of 60 resolving first: a
+# 48-store recent window plus a slow list (delay > 15) misses the old store.
+@example(
+    style="dynamic", static_delay=0, low=0, high=16, period=1,
+    ops=[(True, 1, 0, 15, 50, [0], None), (True, 60, 5, 0, 50, [0], None),
+         (False, 1, 0, 0, 0, [5], None)],
+)
+# A store resolving one cycle after the frontier, queried at the frontier.
+@example(
+    style="dynamic", static_delay=0, low=0, high=16, period=1,
+    ops=[(True, 1, 0, 1, 10, [0], None), (False, 1, 0, 0, 0, [0], None)],
+)
+@settings(max_examples=300, deadline=None)
+def test_store_buffer_unresolved_index_matches_brute_force(
+    style, static_delay, low, high, period, ops
+):
+    """Frontier pruning never changes the unresolved-older-store answer.
+
+    Stores arrive in program order with non-decreasing decode cycles, in
+    same-cycle bursts that can exceed 48 stores; each load advances the
+    frontier to its decode cycle and queries at cycles at or above it.
+    """
+    buffer = StoreBuffer()
+    stores = []
+    seq = 0
+    decode = 0
+    for is_store, burst, gap, dynamic_delay, commit_after, offsets, covered in ops:
+        decode += gap
+        if is_store:
+            for _ in range(burst):
+                if style == "static":
+                    delay = static_delay
+                elif style == "dynamic":
+                    delay = dynamic_delay
+                else:
+                    delay = high if (seq // period) % 2 else low
+                record = StoreRecord(
+                    seq=seq,
+                    address=(seq % 16) * 8,
+                    size=8,
+                    decode_cycle=decode,
+                    addr_ready_cycle=decode + delay,
+                    data_ready_cycle=decode + delay,
+                    commit_cycle=decode + delay + commit_after,
+                    locality=Locality.HIGH,
+                )
+                buffer.add(record)
+                stores.append(record)
+                seq += 1
+            continue
+        buffer.advance(decode)
+        after_seq = -1 if covered is None else max(-1, seq - 1 - covered)
+        for offset in offsets:
+            cycle = decode + offset
+            expected = _brute_force_unresolved(stores, seq, after_seq, cycle)
+            assert buffer.any_unresolved_older_store(seq, after_seq, cycle) == expected
+        seq += 1
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=200),
