@@ -132,35 +132,29 @@ def _build_dataclass(cls: Type[_T], data: Any) -> _T:
 #:
 #: Version 2 added the optional tenancy fields at the envelope level
 #: (``tenant``, ``priority``) plus ``schema_version`` naming the payload's
-#: own schema.  Version-1 envelopes remain accepted (mapped to the default
-#: tenant and the batch lane, with a deprecation note in responses).
+#: own schema.  Version-1 envelopes are rejected: client and server ship
+#: together.
 WIRE_SCHEMA_VERSION = 2
 
-#: Envelope versions this build still reads.
-SUPPORTED_WIRE_SCHEMAS = (1, 2)
+#: Envelope versions this build reads.
+SUPPORTED_WIRE_SCHEMAS = (WIRE_SCHEMA_VERSION,)
 
 
 @dataclasses.dataclass(frozen=True)
 class WireEnvelope:
     """A validated wire envelope, with the v2 transport fields exposed.
 
-    ``tenant`` / ``priority`` / ``schema_version`` are ``None`` for v1
-    envelopes (and for v2 envelopes that omit them); :attr:`deprecated`
-    tells the server to attach a migration note to its response.
+    ``tenant`` / ``priority`` / ``schema_version`` are ``None`` when the
+    envelope omits them.
     """
 
     kind: str
     payload: Any
-    wire_schema: int
     tenant: Any = None
     priority: Any = None
     schema_version: Any = None
     #: Request correlation ID (``X-Repro-Trace-Id``); ``None`` when absent.
     trace_id: Any = None
-
-    @property
-    def deprecated(self) -> bool:
-        return self.wire_schema < WIRE_SCHEMA_VERSION
 
 
 def wire_envelope(
@@ -171,37 +165,35 @@ def wire_envelope(
     priority: Any = None,
     schema_version: Any = None,
     trace_id: Any = None,
-    wire_schema: int = WIRE_SCHEMA_VERSION,
 ) -> Dict[str, Any]:
     """Wrap ``payload`` in a versioned wire envelope.
 
     The envelope is the unit every service endpoint sends and receives:
-    ``{"wire_schema": N, "kind": "<message type>", "payload": <JSON>}``.
-    Version-2 envelopes additionally carry ``tenant`` / ``priority``
-    (admission metadata for submissions), ``schema_version`` (the payload's
-    own schema number) and ``trace_id`` (the request's correlation ID, also
-    carried in the ``X-Repro-Trace-Id`` header) when provided.  ``payload``
-    may be any :func:`to_jsonable`-serialisable object.
+    ``{"wire_schema": N, "kind": "<message type>", "payload": <JSON>}``,
+    plus ``tenant`` / ``priority`` (admission metadata for submissions),
+    ``schema_version`` (the payload's own schema number) and ``trace_id``
+    (the request's correlation ID, also carried in the ``X-Repro-Trace-Id``
+    header) when provided.  ``payload`` may be any
+    :func:`to_jsonable`-serialisable object.
     """
     document: Dict[str, Any] = {
-        "wire_schema": wire_schema,
+        "wire_schema": WIRE_SCHEMA_VERSION,
         "kind": kind,
         "payload": to_jsonable(payload),
     }
-    if wire_schema >= 2:
-        if tenant is not None:
-            document["tenant"] = tenant
-        if priority is not None:
-            document["priority"] = priority
-        if schema_version is not None:
-            document["schema_version"] = schema_version
-        if trace_id is not None:
-            document["trace_id"] = trace_id
+    if tenant is not None:
+        document["tenant"] = tenant
+    if priority is not None:
+        document["priority"] = priority
+    if schema_version is not None:
+        document["schema_version"] = schema_version
+    if trace_id is not None:
+        document["trace_id"] = trace_id
     return document
 
 
 def read_envelope(data: Any, kind: str) -> WireEnvelope:
-    """Validate a wire envelope (any supported version) and return it whole.
+    """Validate a wire envelope and return it whole.
 
     Raises :class:`ConfigurationError` when ``data`` is not an envelope, its
     schema version is unsupported or its kind is not the expected one.
@@ -223,7 +215,6 @@ def read_envelope(data: Any, kind: str) -> WireEnvelope:
     return WireEnvelope(
         kind=kind,
         payload=data["payload"],
-        wire_schema=schema,
         tenant=data.get("tenant"),
         priority=data.get("priority"),
         schema_version=data.get("schema_version"),
@@ -232,7 +223,7 @@ def read_envelope(data: Any, kind: str) -> WireEnvelope:
 
 
 def open_envelope(data: Any, kind: str) -> Any:
-    """Validate a wire envelope and return its payload (either version)."""
+    """Validate a wire envelope and return its payload."""
     return read_envelope(data, kind).payload
 
 

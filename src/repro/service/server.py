@@ -122,13 +122,6 @@ SUSPECT_AFTER = 3
 #: is allowed through; success clears the suspicion, failure re-arms it.
 SUSPECT_RETRY_SECONDS = 5.0
 
-#: The migration note attached to responses for deprecated v1 envelopes.
-V1_DEPRECATION_NOTE = (
-    "wire schema 1 is deprecated: submissions were mapped to the default "
-    "tenant's batch lane; send wire_schema 2 envelopes with explicit "
-    "tenant/priority (see docs/USAGE.md, 'Tenancy & fairness')"
-)
-
 #: HTTP status -> error code for protocol-level failures.
 _CODE_FOR_STATUS = {
     400: ErrorCode.BAD_REQUEST,
@@ -429,11 +422,9 @@ class ReproService:
 
     # -- submission helpers --------------------------------------------
 
-    def _submission_request(self, request: HTTPRequest) -> Tuple[JobRequest, bool]:
+    def _submission_request(self, request: HTTPRequest) -> JobRequest:
         """Parse a ``POST /v1/jobs`` body into a fully resolved request.
 
-        Returns ``(job_request, deprecated)`` where ``deprecated`` marks a
-        wire-schema-1 envelope (its response carries a migration note).
         Resolution order for the tenant: envelope field, payload field,
         ``X-Repro-Tenant`` header, then the server's default; conflicting
         explicit values are a 400 rather than a silent pick.
@@ -444,13 +435,10 @@ class ReproService:
         if tenant is None:
             tenant = request.headers.get("x-repro-tenant") or None
         priority = _merge_field("priority", envelope.priority, job_request.priority)
-        if envelope.deprecated:
-            # v1 speakers predate tenancy: default tenant, batch lane.
-            tenant, priority = None, "batch"
         job_request = replace(job_request, tenant=tenant, priority=priority)
         resolved = tenant if tenant is not None else self.manager.tenancy.default_tenant
         self._authorize(resolved, request)
-        return job_request, envelope.deprecated
+        return job_request
 
     def _authorize(self, tenant: str, request: HTTPRequest) -> None:
         """Enforce the tenant's auth token, when one is configured."""
@@ -528,7 +516,7 @@ class ReproService:
                     extra=(("Retry-After", str(retry_after)),),
                     trace_id=trace_id,
                 )
-            job_request, deprecated = self._submission_request(request)
+            job_request = self._submission_request(request)
             state, coalesced = self.manager.submit(job_request, trace_id=trace_id)
             receipt = {
                 "job_id": state.job_id,
@@ -538,8 +526,6 @@ class ReproService:
                 "tenant": state.tenant,
                 "priority": state.lane,
             }
-            if deprecated:
-                receipt["deprecation"] = V1_DEPRECATION_NOTE
             return json_response(
                 200 if coalesced else 202,
                 wire_envelope(

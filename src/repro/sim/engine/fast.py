@@ -41,6 +41,17 @@ This module re-implements the *same algorithms* with the interpreter in mind:
   deques, and the register scoreboard becomes a flat list indexed by
   architectural register number instead of a dictionary.
 
+* **One loop for both machines.**  The FMC's Cache Processor *is* a
+  conventional out-of-order core: high-locality instructions run there
+  exactly as on the OoO-64 baseline, and only low-locality instructions
+  migrate to the Memory Processor's engines.  So :func:`run_fast` drives an
+  :class:`OutOfOrderCore` as a cache processor without a Memory Processor:
+  nothing is classified low-locality, nothing migrates, no epoch opens and
+  every instruction leaves the ROB at commit.  The machine kind, read once
+  from the processor's type, picks only the setup (load/store queue sizes:
+  the core's own queues versus the HL-LSQ; the wrong-path cap: ``rob_size``
+  versus the FMC's 256) and the FMC-only end-of-run accounting.
+
 The LSQ policies, the memory hierarchy and the statistics registry are the
 *same objects* the reference engine drives -- only the loop around them is
 rewritten -- and the loop reproduces the reference computations expression
@@ -49,17 +60,19 @@ histogram bin, cycle count and derived float) is bit-identical to the
 ``reference`` engine across workload families, suites, seeds and fuzzed
 configurations.
 
-The loops also report per-phase wall time (``build`` / ``warmup`` /
+The loop also reports per-phase wall time (``build`` / ``warmup`` /
 ``drive``) to :func:`repro.obs.spans.add_phase`, which ``repro bench``
 folds into its artifact so speed-ups stay attributable.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
+from repro.common.config import MemoryEngineConfig
 from repro.common.errors import TraceError
 from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.fmc.processor import FMCProcessor
@@ -81,6 +94,7 @@ from repro.uarch.ooo_core import (
     _LOCALITY_HISTOGRAM_BINS,
     _VIOLATION_EXTRA_PENALTY,
     OutOfOrderCore,
+    account_wrong_path,
 )
 from repro.uarch.result import CoreResult
 
@@ -251,20 +265,48 @@ def warm_hierarchy(hierarchy: MemoryHierarchy, regions) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fast drive loop: conventional out-of-order core
+# Fast drive loop
 # ----------------------------------------------------------------------
 
 
-def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
-    """Drive ``core`` over ``trace`` -- bit-identical to ``core.run(trace)``."""
-    cfg = core.config
-    stats = core.stats
-    policy = core.policy
+def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> CoreResult:
+    """Drive ``processor`` over ``trace`` -- bit-identical to ``processor.run``."""
+    fmc = processor.config if isinstance(processor, FMCProcessor) else None
+    if fmc is not None:
+        elsq = processor.elsq_config
+        cp = fmc.cache_processor
+        me = fmc.memory_engine
+        # The cache processor's loads and stores wait in the HL-LSQ.
+        lq_cap = elsq.hl_load_entries
+        sq_cap = elsq.hl_store_entries
+        wrong_path_cap = _FMC_WRONG_PATH_CAP
+        threshold = elsq.locality_threshold_cycles
+        pool_cap = fmc.num_memory_engines
+        cp_to_mp_latency = fmc.interconnect.cp_to_mp_latency
+        restricts_sac = elsq.disambiguation.restricts_store_address_calculation
+        restricts_lac = elsq.disambiguation.restricts_load_address_calculation
+    else:
+        # A conventional core is a cache processor without a Memory
+        # Processor: no operand latency exceeds an infinite threshold, so
+        # nothing migrates, no epoch opens and the engine settings below are
+        # never consulted.
+        cp = processor.config
+        me = MemoryEngineConfig()
+        lq_cap = cp.load_queue_entries
+        sq_cap = cp.store_queue_entries
+        wrong_path_cap = cp.rob_size
+        threshold = math.inf
+        pool_cap = 1
+        cp_to_mp_latency = 0
+        restricts_sac = restricts_lac = False
+    stats = processor.stats
+    policy = processor.policy
     warm_started = perf_counter()
-    if core.warm_caches and trace.regions:
-        warm_hierarchy(core.hierarchy, trace.regions)
+    if processor.warm_caches and trace.regions:
+        warm_hierarchy(processor.hierarchy, trace.regions)
     drive_started = perf_counter()
     obs_spans.add_phase("warmup", drive_started - warm_started)
+
     load_hist = stats.histogram(
         "decode_to_address.loads", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
     )
@@ -274,21 +316,28 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
     record_load_hist = load_hist.record
     record_store_hist = store_hist.record
     bump = stats.bump
+    counter = stats.counter
     load_issued = policy.load_issued
     store_issued = policy.store_issued
     load_committed = policy.load_committed
     store_committed = policy.store_committed
+    epoch_opened = policy.epoch_opened
+    epoch_committed = policy.epoch_committed
 
-    fetch_width = cfg.fetch_width
-    issue_width = cfg.issue_width
-    commit_width = cfg.commit_width
-    ports_width = core.hierarchy.config.cache_ports
-    decode_latency = cfg.decode_latency
-    branch_latency = cfg.branch_latency
-    int_alu_latency = cfg.int_alu_latency
-    fp_alu_latency = cfg.fp_alu_latency
-    mispredict_penalty = cfg.branch_mispredict_penalty
-    rob_cap = cfg.rob_size
+    fetch_width = cp.fetch_width
+    issue_width = cp.issue_width
+    commit_width = cp.commit_width
+    ports_width = processor.hierarchy.config.cache_ports
+    decode_latency = cp.decode_latency
+    branch_latency = cp.branch_latency
+    int_alu_latency = cp.int_alu_latency
+    fp_alu_latency = cp.fp_alu_latency
+    mispredict_penalty = cp.branch_mispredict_penalty
+    rob_cap = cp.rob_size
+    me_max_instructions = me.max_instructions
+    me_max_loads = me.max_loads
+    me_max_stores = me.max_stores
+    me_issue_width = me.issue_width
 
     columns = trace.columns()
     iclass_col = columns.iclass
@@ -309,27 +358,45 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
     MISPREDICTED = FLAG_MISPREDICTED
     HAS_LATENCY = FLAG_HAS_LATENCY
     HIGH = Locality.HIGH
+    LOW = Locality.LOW
 
-    # Scalar frontier allocators (fetch/commit requests are non-decreasing).
+    # Scalar frontier allocators (fetch / commit / migration are monotonic).
     fetch_cur, fetch_used = -1, 0
     commit_cur, commit_used = -1, 0
-    # Demand-keyed allocators (issue order follows operand readiness).
-    issue_used: Dict[int, int] = {}
+    migrate_cur, migrate_used = -1, 0
+    # Demand-keyed allocators.
+    cp_issue_used: Dict[int, int] = {}
     ports_used: Dict[int, int] = {}
-    # Preallocated ring buffers replacing the occupancy-window deques.
+    #: epoch id -> [current issue cycle, slots used, issue frontier] -- each
+    #: memory engine's issue bandwidth is requested in non-decreasing order.
+    epoch_issue: Dict[int, List[int]] = {}
+    # Preallocated ring buffers.
     rob_buf = [0] * rob_cap
     rob_n = rob_i = 0
-    lq_cap = cfg.load_queue_entries
     lq_buf = [0] * lq_cap
     lq_n = lq_i = 0
-    sq_cap = cfg.store_queue_entries
     sq_buf = [0] * sq_cap
     sq_n = sq_i = 0
+    pool_buf = [0] * pool_cap
+    pool_n = pool_i = 0
 
     regs = [0] * NUM_ARCH_REGISTERS
     fetch_frontier = 0
     commit_frontier = 0
+    migration_frontier = 0
     fetch_resume_cycle = 0
+    migration_block_until = 0
+    mp_active_until = 0
+    ll_active_cycles = 0
+    epoch_live_cycle_sum = 0
+    next_epoch_id = 0
+    # Current epoch book, inlined into scalars (None id = no open epoch).
+    cur_epoch_id: Optional[int] = None
+    cur_open = 0
+    cur_instructions = 0
+    cur_loads = 0
+    cur_stores = 0
+    cur_last_commit = 0
     num_loads = 0
     num_stores = 0
     wrong_path_estimate = 0.0
@@ -370,363 +437,6 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
         # Sources are left-packed columns with -1 padding.  A store's last
         # source is its data operand; a single-source store uses that source
         # as both address and data (matching ``srcs[:-1] or srcs``).
-        s0 = src0_col[seq]
-        addr_ready = decode_cycle
-        if is_store:
-            s1 = src1_col[seq]
-            if s1 < 0:
-                if s0 >= 0:
-                    ready = regs[s0]
-                    if ready > addr_ready:
-                        addr_ready = ready
-                data_ready = addr_ready
-            else:
-                ready = regs[s0]
-                if ready > addr_ready:
-                    addr_ready = ready
-                s2 = src2_col[seq]
-                if s2 < 0:
-                    data_src = s1
-                else:
-                    ready = regs[s1]
-                    if ready > addr_ready:
-                        addr_ready = ready
-                    s3 = src3_col[seq]
-                    if s3 < 0:
-                        data_src = s2
-                    else:
-                        ready = regs[s2]
-                        if ready > addr_ready:
-                            addr_ready = ready
-                        data_src = s3
-                data_ready = regs[data_src]
-                if data_ready < addr_ready:
-                    data_ready = addr_ready
-        else:
-            if s0 >= 0:
-                ready = regs[s0]
-                if ready > addr_ready:
-                    addr_ready = ready
-                s1 = src1_col[seq]
-                if s1 >= 0:
-                    ready = regs[s1]
-                    if ready > addr_ready:
-                        addr_ready = ready
-                    s2 = src2_col[seq]
-                    if s2 >= 0:
-                        ready = regs[s2]
-                        if ready > addr_ready:
-                            addr_ready = ready
-                        s3 = src3_col[seq]
-                        if s3 >= 0:
-                            ready = regs[s3]
-                            if ready > addr_ready:
-                                addr_ready = ready
-            data_ready = addr_ready
-
-        # ---------------- issue and execute ----------------
-        violation = False
-        squash_penalty = 0
-        cycle = addr_ready
-        while issue_used.get(cycle, 0) >= issue_width:
-            cycle += 1
-        issue_used[cycle] = issue_used.get(cycle, 0) + 1
-        issue_cycle = cycle
-        pending_load_record: Optional[LoadRecord] = None
-        if is_load:
-            num_loads += 1
-            cycle = issue_cycle
-            while ports_used.get(cycle, 0) >= ports_width:
-                cycle += 1
-            ports_used[cycle] = ports_used.get(cycle, 0) + 1
-            issue_cycle = cycle
-            record_load_hist(issue_cycle - decode_cycle)
-            pending_load_record = LoadRecord(
-                seq=seq,
-                address=addr_col[seq],
-                size=size_col[seq],
-                decode_cycle=decode_cycle,
-                issue_cycle=issue_cycle,
-                locality=HIGH,
-            )
-            outcome = load_issued(pending_load_record)
-            latency = outcome.latency
-            complete = issue_cycle + (latency if latency > 1 else 1)
-            violation = outcome.violation
-            squash_penalty = outcome.squash_penalty
-        elif is_store:
-            num_stores += 1
-            record_store_hist(issue_cycle - decode_cycle)
-            complete = issue_cycle if issue_cycle >= data_ready else data_ready
-        elif code == BRANCH:
-            complete = issue_cycle + branch_latency
-        else:
-            if flags_col[seq] & HAS_LATENCY:
-                latency = latency_col[seq]
-            else:
-                latency = fp_alu_latency if code == FP_ALU else int_alu_latency
-            complete = issue_cycle + latency
-
-        dest = dest_col[seq]
-        if dest >= 0:
-            regs[dest] = complete
-
-        # ---------------- commit ----------------
-        commit_ready = complete if complete >= commit_frontier else commit_frontier
-        if commit_ready > commit_cur:
-            commit_cur, commit_used = commit_ready, 1
-        elif commit_used < commit_width:
-            commit_used += 1
-        else:
-            commit_cur += 1
-            commit_used = 1
-        commit_cycle = commit_cur
-
-        if is_store:
-            store_record = StoreRecord(
-                seq=seq,
-                address=addr_col[seq],
-                size=size_col[seq],
-                decode_cycle=decode_cycle,
-                addr_ready_cycle=issue_cycle,
-                data_ready_cycle=issue_cycle if issue_cycle >= data_ready else data_ready,
-                commit_cycle=commit_cycle,
-                locality=HIGH,
-            )
-            store_outcome = store_issued(store_record)
-            if store_outcome.squash_penalty > squash_penalty:
-                squash_penalty = store_outcome.squash_penalty
-            store_committed(store_record)
-        elif pending_load_record is not None:
-            pending_load_record.commit_cycle = commit_cycle
-            commit_extra = load_committed(pending_load_record)
-            if commit_extra.extra_latency:
-                commit_cycle += commit_extra.extra_latency
-
-        if commit_cycle > commit_frontier:
-            commit_frontier = commit_cycle
-        if commit_cycle > last_commit_cycle:
-            last_commit_cycle = commit_cycle
-        if rob_n == rob_cap:
-            rob_buf[rob_i] = commit_cycle
-            rob_i += 1
-            if rob_i == rob_cap:
-                rob_i = 0
-        else:
-            rob_buf[rob_n] = commit_cycle
-            rob_n += 1
-        if is_load:
-            if lq_n == lq_cap:
-                lq_buf[lq_i] = commit_cycle
-                lq_i += 1
-                if lq_i == lq_cap:
-                    lq_i = 0
-            else:
-                lq_buf[lq_n] = commit_cycle
-                lq_n += 1
-        elif is_store:
-            if sq_n == sq_cap:
-                sq_buf[sq_i] = commit_cycle
-                sq_i += 1
-                if sq_i == sq_cap:
-                    sq_i = 0
-            else:
-                sq_buf[sq_n] = commit_cycle
-                sq_n += 1
-
-        # ---------------- control / squash handling ----------------
-        if code == BRANCH and flags_col[seq] & MISPREDICTED:
-            resolve_cycle = complete + mispredict_penalty
-            if resolve_cycle > fetch_resume_cycle:
-                fetch_resume_cycle = resolve_cycle
-            bump("core.branch_mispredicts")
-            exposed = complete - fetch_cycle
-            if exposed < 0:
-                exposed = 0
-            wrong_path = fetch_width * exposed
-            if wrong_path > rob_cap:
-                wrong_path = rob_cap
-            wrong_path_estimate += wrong_path
-        if violation:
-            bump("core.violation_squashes")
-            resume = complete + mispredict_penalty + _VIOLATION_EXTRA_PENALTY
-            if resume > fetch_resume_cycle:
-                fetch_resume_cycle = resume
-        if squash_penalty:
-            resume = issue_cycle + squash_penalty
-            if resume > fetch_resume_cycle:
-                fetch_resume_cycle = resume
-
-    committed = len(trace)
-    total_cycles = max(1, last_commit_cycle)
-    core._account_wrong_path(wrong_path_estimate, committed, num_loads, num_stores)
-    policy.finalize(total_cycles, committed)
-    stats.counter("core.cycles").add(total_cycles)
-    stats.counter("core.committed_instructions").add(committed)
-    obs_spans.add_phase("drive", perf_counter() - drive_started)
-
-    return CoreResult(
-        trace_name=trace.name,
-        config_name=core.name,
-        cycles=total_cycles,
-        committed_instructions=committed,
-        stats=stats.snapshot(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Fast drive loop: FMC large-window processor
-# ----------------------------------------------------------------------
-
-
-def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
-    """Drive ``processor`` over ``trace`` -- bit-identical to ``processor.run``."""
-    cp = processor.config.cache_processor
-    me = processor.config.memory_engine
-    stats = processor.stats
-    policy = processor.policy
-    threshold = processor.elsq_config.locality_threshold_cycles
-    warm_started = perf_counter()
-    if processor.warm_caches and trace.regions:
-        warm_hierarchy(processor.hierarchy, trace.regions)
-    drive_started = perf_counter()
-    obs_spans.add_phase("warmup", drive_started - warm_started)
-
-    load_hist = stats.histogram(
-        "decode_to_address.loads", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
-    )
-    store_hist = stats.histogram(
-        "decode_to_address.stores", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
-    )
-    record_load_hist = load_hist.record
-    record_store_hist = store_hist.record
-    bump = stats.bump
-    counter = stats.counter
-    load_issued = policy.load_issued
-    store_issued = policy.store_issued
-    load_committed = policy.load_committed
-    store_committed = policy.store_committed
-    epoch_opened = policy.epoch_opened
-    epoch_committed = policy.epoch_committed
-
-    fetch_width = cp.fetch_width
-    issue_width = cp.issue_width
-    commit_width = cp.commit_width
-    ports_width = processor.hierarchy.config.cache_ports
-    decode_latency = cp.decode_latency
-    branch_latency = cp.branch_latency
-    int_alu_latency = cp.int_alu_latency
-    fp_alu_latency = cp.fp_alu_latency
-    mispredict_penalty = cp.branch_mispredict_penalty
-    rob_cap = cp.rob_size
-    me_max_instructions = me.max_instructions
-    me_max_loads = me.max_loads
-    me_max_stores = me.max_stores
-    me_issue_width = me.issue_width
-    cp_to_mp_latency = processor.config.interconnect.cp_to_mp_latency
-    disambiguation = processor.elsq_config.disambiguation
-    restricts_sac = disambiguation.restricts_store_address_calculation
-    restricts_lac = disambiguation.restricts_load_address_calculation
-
-    columns = trace.columns()
-    iclass_col = columns.iclass
-    dest_col = columns.dest
-    src0_col = columns.src0
-    src1_col = columns.src1
-    src2_col = columns.src2
-    src3_col = columns.src3
-    addr_col = columns.address
-    size_col = columns.size
-    flags_col = columns.flags
-    latency_col = columns.latency
-
-    LOAD = CODE_LOAD
-    STORE = CODE_STORE
-    BRANCH = CODE_BRANCH
-    FP_ALU = CODE_FP_ALU
-    MISPREDICTED = FLAG_MISPREDICTED
-    HAS_LATENCY = FLAG_HAS_LATENCY
-    HIGH = Locality.HIGH
-    LOW = Locality.LOW
-
-    # Scalar frontier allocators (fetch / commit / migration are monotonic).
-    fetch_cur, fetch_used = -1, 0
-    commit_cur, commit_used = -1, 0
-    migrate_cur, migrate_used = -1, 0
-    # Demand-keyed allocators.
-    cp_issue_used: Dict[int, int] = {}
-    ports_used: Dict[int, int] = {}
-    #: epoch id -> [current issue cycle, slots used, issue frontier] -- each
-    #: memory engine's issue bandwidth is requested in non-decreasing order.
-    epoch_issue: Dict[int, List[int]] = {}
-    # Preallocated ring buffers.
-    rob_buf = [0] * rob_cap
-    rob_n = rob_i = 0
-    hl_lq_cap = processor.elsq_config.hl_load_entries
-    hl_lq_buf = [0] * hl_lq_cap
-    hl_lq_n = hl_lq_i = 0
-    hl_sq_cap = processor.elsq_config.hl_store_entries
-    hl_sq_buf = [0] * hl_sq_cap
-    hl_sq_n = hl_sq_i = 0
-    pool_cap = processor.config.num_memory_engines
-    pool_buf = [0] * pool_cap
-    pool_n = pool_i = 0
-
-    regs = [0] * NUM_ARCH_REGISTERS
-    fetch_frontier = 0
-    commit_frontier = 0
-    migration_frontier = 0
-    fetch_resume_cycle = 0
-    migration_block_until = 0
-    mp_active_until = 0
-    ll_active_cycles = 0
-    epoch_live_cycle_sum = 0
-    next_epoch_id = 0
-    # Current epoch book, inlined into scalars (None id = no open epoch).
-    cur_epoch_id: Optional[int] = None
-    cur_open = 0
-    cur_instructions = 0
-    cur_loads = 0
-    cur_stores = 0
-    cur_last_commit = 0
-    num_loads = 0
-    num_stores = 0
-    wrong_path_estimate = 0.0
-    last_commit_cycle = 0
-
-    for seq in range(len(iclass_col)):
-        code = iclass_col[seq]
-        is_load = code == LOAD
-        is_store = code == STORE
-
-        # ---------------- fetch / decode ----------------
-        desired = fetch_resume_cycle
-        if fetch_frontier > desired:
-            desired = fetch_frontier
-        constraint = rob_buf[rob_i] if rob_n == rob_cap else 0
-        if constraint > desired:
-            desired = constraint
-        if is_load:
-            constraint = hl_lq_buf[hl_lq_i] if hl_lq_n == hl_lq_cap else 0
-            if constraint > desired:
-                desired = constraint
-        elif is_store:
-            constraint = hl_sq_buf[hl_sq_i] if hl_sq_n == hl_sq_cap else 0
-            if constraint > desired:
-                desired = constraint
-        if desired > fetch_cur:
-            fetch_cur, fetch_used = desired, 1
-        elif fetch_used < fetch_width:
-            fetch_used += 1
-        else:
-            fetch_cur += 1
-            fetch_used = 1
-        fetch_cycle = fetch_cur
-        fetch_frontier = fetch_cycle
-        decode_cycle = fetch_cycle + decode_latency
-
-        # ---------------- operand readiness ----------------
-        # Same left-packed source convention as the conventional loop.
         s0 = src0_col[seq]
         addr_ready = decode_cycle
         if is_store:
@@ -977,23 +687,23 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
             rob_buf[rob_n] = cp_leave_cycle
             rob_n += 1
         if is_load:
-            if hl_lq_n == hl_lq_cap:
-                hl_lq_buf[hl_lq_i] = cp_leave_cycle
-                hl_lq_i += 1
-                if hl_lq_i == hl_lq_cap:
-                    hl_lq_i = 0
+            if lq_n == lq_cap:
+                lq_buf[lq_i] = cp_leave_cycle
+                lq_i += 1
+                if lq_i == lq_cap:
+                    lq_i = 0
             else:
-                hl_lq_buf[hl_lq_n] = cp_leave_cycle
-                hl_lq_n += 1
+                lq_buf[lq_n] = cp_leave_cycle
+                lq_n += 1
         elif is_store:
-            if hl_sq_n == hl_sq_cap:
-                hl_sq_buf[hl_sq_i] = cp_leave_cycle
-                hl_sq_i += 1
-                if hl_sq_i == hl_sq_cap:
-                    hl_sq_i = 0
+            if sq_n == sq_cap:
+                sq_buf[sq_i] = cp_leave_cycle
+                sq_i += 1
+                if sq_i == sq_cap:
+                    sq_i = 0
             else:
-                hl_sq_buf[hl_sq_n] = cp_leave_cycle
-                hl_sq_n += 1
+                sq_buf[sq_n] = cp_leave_cycle
+                sq_n += 1
 
         if cur_epoch_id is not None and epoch_id == cur_epoch_id:
             if commit_cycle > cur_last_commit:
@@ -1018,8 +728,8 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
             if exposed < 0:
                 exposed = 0
             wrong_path = fetch_width * exposed
-            if wrong_path > _FMC_WRONG_PATH_CAP:
-                wrong_path = _FMC_WRONG_PATH_CAP
+            if wrong_path > wrong_path_cap:
+                wrong_path = wrong_path_cap
             wrong_path_estimate += wrong_path
         if violation:
             bump("core.violation_squashes")
@@ -1050,17 +760,24 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
 
     committed = len(trace)
     total_cycles = max(1, last_commit_cycle)
-    processor._account_wrong_path(wrong_path_estimate, committed, num_loads, num_stores)
+    account_wrong_path(policy, wrong_path_estimate, committed, num_loads, num_stores)
     policy.finalize(total_cycles, committed)
     stats.counter("core.cycles").add(total_cycles)
     stats.counter("core.committed_instructions").add(committed)
-    stats.counter("fmc.ll_active_cycles").add(min(ll_active_cycles, total_cycles))
-    stats.counter("fmc.epochs_allocated").add(next_epoch_id)
-
-    high_locality_fraction = 1.0 - min(ll_active_cycles, total_cycles) / total_cycles
-    mean_allocated_epochs = (
-        epoch_live_cycle_sum / ll_active_cycles if ll_active_cycles > 0 else 0.0
-    )
+    # Memory Processor accounting exists only on a machine that has one.
+    fmc_fields = {}
+    if fmc is not None:
+        stats.counter("fmc.ll_active_cycles").add(min(ll_active_cycles, total_cycles))
+        stats.counter("fmc.epochs_allocated").add(next_epoch_id)
+        fmc_fields = {
+            "high_locality_fraction": (
+                1.0 - min(ll_active_cycles, total_cycles) / total_cycles
+            ),
+            "mean_allocated_epochs": (
+                epoch_live_cycle_sum / ll_active_cycles if ll_active_cycles > 0 else 0.0
+            ),
+            "extra": {"epochs_opened": float(next_epoch_id)},
+        }
     obs_spans.add_phase("drive", perf_counter() - drive_started)
 
     return CoreResult(
@@ -1069,9 +786,7 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
         cycles=total_cycles,
         committed_instructions=committed,
         stats=stats.snapshot(),
-        high_locality_fraction=high_locality_fraction,
-        mean_allocated_epochs=mean_allocated_epochs,
-        extra={"epochs_opened": float(next_epoch_id)},
+        **fmc_fields,
     )
 
 
@@ -1094,6 +809,4 @@ class FastEngine:
         build_started = perf_counter()
         processor = machine.build()
         obs_spans.add_phase("build", perf_counter() - build_started)
-        if isinstance(processor, FMCProcessor):
-            return run_fmc_fast(processor, trace)
-        return run_ooo_fast(processor, trace)
+        return run_fast(processor, trace)

@@ -11,17 +11,32 @@ envelopes and push each draw through both engines, asserting
   and
 * monotonicity: simulating a longer prefix of the same instruction stream
   can never finish earlier than a shorter prefix.
+
+Every drawn machine also gets a random core geometry (ROB, widths and
+load/store queues; for the FMC, HL-LSQ sizes that differ from its cache
+processor's own queues), drawn from a separate generator so the workload and
+machine draws stay as they were.  The ``fast`` engine drives both machine
+kinds with one loop, so the geometry draws are what show a conventional
+machine and an FMC reading their own queue sizes and wrong-path cap.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.common.config import DisambiguationModel, ERTKind, LoadQueueScheme
+from repro.common.config import CoreConfig, DisambiguationModel, ERTKind, LoadQueueScheme
 from repro.isa.trace import Trace
-from repro.sim.configs import MachineConfig, fmc_central, fmc_elsq, ooo_64, ooo_64_svw
+from repro.sim.configs import (
+    MachineConfig,
+    MachineKind,
+    fmc_central,
+    fmc_elsq,
+    ooo_64,
+    ooo_64_svw,
+)
 from repro.sim.engine import engine_by_name
 from repro.workloads.base import MemoryRegion, SyntheticWorkload, WorkloadParameters
 
@@ -81,7 +96,48 @@ def _draw_workload(rng: random.Random, index: int) -> WorkloadParameters:
     )
 
 
-def _draw_machine(rng: random.Random) -> MachineConfig:
+#: Queue sizes the geometry draws pick from (HL-LSQ and core queues alike).
+_QUEUE_SIZES = (4, 6, 8, 12, 16, 24, 32, 48)
+
+
+def _draw_core(geometry: random.Random) -> CoreConfig:
+    """A random core geometry: ROB, load/store queues and widths."""
+    return CoreConfig(
+        fetch_width=geometry.choice((2, 3, 4, 6, 8)),
+        issue_width=geometry.choice((2, 3, 4, 6, 8)),
+        commit_width=geometry.choice((2, 3, 4, 6, 8)),
+        rob_size=geometry.choice((16, 24, 32, 48, 64, 96, 128)),
+        load_queue_entries=geometry.choice(_QUEUE_SIZES),
+        store_queue_entries=geometry.choice(_QUEUE_SIZES),
+    )
+
+
+def _draw_machine(rng: random.Random, geometry: random.Random) -> MachineConfig:
+    """A random valid machine with a random core geometry.
+
+    ``rng`` picks the machine kind and LSQ organisation, ``geometry`` the
+    core and queue sizes.  An FMC's cache processor gets load/store queue
+    sizes unlike its HL-LSQ sizes, so a loop reading the wrong pair shows.
+    """
+    machine = _draw_organisation(rng)
+    core = _draw_core(geometry)
+    if machine.kind is MachineKind.CONVENTIONAL:
+        return replace(machine, core=core)
+    hl_load = geometry.choice(_QUEUE_SIZES)
+    hl_store = geometry.choice(_QUEUE_SIZES)
+    core = replace(
+        core,
+        load_queue_entries=geometry.choice([n for n in _QUEUE_SIZES if n != hl_load]),
+        store_queue_entries=geometry.choice([n for n in _QUEUE_SIZES if n != hl_store]),
+    )
+    return replace(
+        machine,
+        fmc=replace(machine.fmc, cache_processor=core),
+        elsq=replace(machine.elsq, hl_load_entries=hl_load, hl_store_entries=hl_store),
+    )
+
+
+def _draw_organisation(rng: random.Random) -> MachineConfig:
     """A random valid machine: conventional, SVW, central or an ELSQ variant."""
     choice = rng.random()
     if choice < 0.15:
@@ -115,8 +171,6 @@ def _draw_machine(rng: random.Random) -> MachineConfig:
 
 
 def _commit_width(machine: MachineConfig) -> int:
-    from repro.sim.configs import MachineKind
-
     if machine.kind is MachineKind.CONVENTIONAL:
         return machine.core.commit_width
     return machine.fmc.cache_processor.commit_width
@@ -126,7 +180,7 @@ def _commit_width(machine: MachineConfig) -> int:
 def test_fuzzed_configurations_are_identical_and_sane(draw: int) -> None:
     rng = random.Random(0xE15C0 + draw)
     workload = _draw_workload(rng, draw)
-    machine = _draw_machine(rng)
+    machine = _draw_machine(rng, random.Random(0x6E0 + draw))
     trace = SyntheticWorkload(workload, seed=rng.randrange(10_000)).generate(INSTRUCTIONS)
 
     reference = engine_by_name("reference").run(machine, trace)
@@ -152,7 +206,7 @@ def test_cycles_are_monotone_in_trace_length(draw: int) -> None:
     """A longer prefix of the same stream never commits earlier."""
     rng = random.Random(0xCAFE + draw)
     workload = _draw_workload(rng, 100 + draw)
-    machine = _draw_machine(rng)
+    machine = _draw_machine(rng, random.Random(0x6E0 + 100 + draw))
     full = SyntheticWorkload(workload, seed=13).generate(INSTRUCTIONS)
     fast = engine_by_name("fast")
     previous_cycles = 0

@@ -9,11 +9,11 @@ Covers the tenancy ISSUE's acceptance surface:
   credit),
 * admission -- per-tenant quota 429s that do not affect other tenants,
   cross-tenant coalescing into one execution, closed-roster rejection,
-* the v2 wire schema -- v1 envelopes still accepted (default tenant, batch
-  lane, deprecation note), envelope/payload conflicts rejected, structured
+* the v2 wire schema -- v1 envelopes rejected with a structured 400 naming
+  the supported schema, envelope/payload conflicts rejected, structured
   error codes shared by server and client,
-* the client -- connection-level tenant/token, the deprecated positional
-  ``submit`` signature, and ``GET /v1/stats``,
+* the client -- connection-level tenant/token, the keyword-only ``submit``
+  signature, and ``GET /v1/stats``,
 * starvation -- a greedy tenant flooding the batch lane cannot starve a
   light tenant's interactive submission (bounded wall clock, both tenants
   reported by ``/v1/stats``).
@@ -336,24 +336,23 @@ def test_lane_resolution_and_retry_after_hint() -> None:
 
 
 # ----------------------------------------------------------------------
-# Wire schema v2 and v1 back-compat
+# Wire schema v2 (v1 is rejected)
 # ----------------------------------------------------------------------
 
 
-def test_v2_envelope_roundtrip_and_v1_still_readable() -> None:
+def test_v2_envelope_roundtrip_and_v1_rejected() -> None:
     envelope = wire_envelope(
         "job_request", {"figure": "fig7"}, tenant="alpha", priority="interactive", schema_version=2
     )
     assert envelope["wire_schema"] == WIRE_SCHEMA_VERSION
     read = read_envelope(json.loads(json.dumps(envelope)), "job_request")
     assert (read.tenant, read.priority, read.schema_version) == ("alpha", "interactive", 2)
-    assert not read.deprecated
-    # A v1 envelope (no tenancy fields) is readable and marked deprecated.
+    # A v1 envelope (no tenancy fields) is no longer readable.
     v1 = {"kind": "job_request", "wire_schema": 1, "payload": {"figure": "fig7"}}
-    read = read_envelope(v1, "job_request")
-    assert read.deprecated
-    assert read.tenant is None and read.priority is None
-    assert open_envelope(v1, "job_request") == {"figure": "fig7"}
+    with pytest.raises(ConfigurationError, match="unsupported wire schema 1"):
+        read_envelope(v1, "job_request")
+    with pytest.raises(ConfigurationError):
+        open_envelope(v1, "job_request")
     with pytest.raises(ConfigurationError):
         read_envelope({**v1, "wire_schema": 999}, "job_request")
 
@@ -384,8 +383,8 @@ def stub_execution(svc, seconds: float = 0.0) -> None:
     svc.manager._execute = fake_execute
 
 
-def test_http_v1_envelope_accepted_with_deprecation_note(tmp_path) -> None:
-    """A pre-tenancy speaker gets the default tenant, batch lane and a note."""
+def test_http_v1_envelope_rejected_with_structured_400(tmp_path) -> None:
+    """A pre-tenancy speaker gets a 400 naming the schema this build speaks."""
     with running_service(tmp_path / "cache") as (svc, client):
         stub_execution(svc)
         v1 = {
@@ -394,17 +393,17 @@ def test_http_v1_envelope_accepted_with_deprecation_note(tmp_path) -> None:
             "payload": {"figure": "sec52", "instructions": 600, "seed": 1},
         }
         status, data = post_raw(client.base_url, v1)
-        assert status == 202
-        receipt = open_envelope(data, "job_accepted")
-        assert receipt["tenant"] == DEFAULT_TENANT
-        assert receipt["priority"] == "batch"
-        assert "deprecated" in receipt["deprecation"]
-        # v1 speakers must still be able to poll their job to completion.
-        view = client.wait(receipt["job_id"], timeout=WAIT_TIMEOUT)
-        assert view["result"] == {"stubbed": True}
-        # A v2 submission gets no deprecation note.
+        assert status == 400
+        error = open_envelope(data, "error")
+        assert error["code"] == "bad_request"
+        assert error["status"] == 400
+        assert "unsupported wire schema 1" in error["message"]
+        assert f"speaks {WIRE_SCHEMA_VERSION}" in error["message"]
+        # The rejection admitted nothing, and the server keeps serving.
+        assert svc.manager.jobs == {}
         fresh = client.submit(figure="sec52", instructions=600, seed=2)
-        assert fresh.deprecation is None
+        view = client.wait(fresh.job_id, timeout=WAIT_TIMEOUT)
+        assert view["result"] == {"stubbed": True}
 
 
 def test_http_v2_tenant_priority_roundtrip_and_stats(tmp_path) -> None:
@@ -456,23 +455,15 @@ def test_tenant_auth_token_enforced(tmp_path) -> None:
         assert client.submit(figure="sec52", seed=7).tenant == DEFAULT_TENANT
 
 
-def test_positional_submit_signature_still_works(tmp_path) -> None:
-    """The pre-v2 positional signature warns but behaves identically."""
+def test_positional_submit_raises_type_error(tmp_path) -> None:
+    """``submit`` is keyword-only: positional arguments never reach the wire."""
     with running_service(tmp_path / "cache") as (svc, client):
         stub_execution(svc)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = client.submit("sec52", None, 600, 8)
-        assert not legacy.coalesced
-        keyword = client.submit(figure="sec52", cases=None, instructions=600, seed=8)
-        # Same request content: the keyword resubmission coalesces or, once
-        # finished, shares the key.
-        assert keyword.request_key == legacy.request_key
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="positional"):
-                client.submit("sec52", None, 600, 8, False, None, "extra")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                client.submit("sec52", figure="fig7")
+        with pytest.raises(TypeError, match="positional"):
+            client.submit("sec52", None, 600, 8)
+        with pytest.raises(TypeError, match="positional"):
+            client.submit("sec52", figure="fig7")
+        assert svc.manager.jobs == {}
         # wait=True returns the completed status document directly.
         view = client.submit(figure="sec52", instructions=600, seed=9, wait=True)
         assert view["status"] == "completed"
